@@ -5,13 +5,15 @@ parameters reduces to a linear program: every exponent produced by a rule is
 a variable bounded below by each argument of its max, strict rule
 preconditions get a common margin variable that is maximized, constant floors
 are dropped (homogeneous form) and the initial d = 1 fixes the scale.  The
-annotation is feasible iff the maximal margin is positive; every positive
-answer is replayed through the exact rules at a large concrete d.
+annotation is feasible iff the maximal margin is positive; a positive
+answer is replayed once through the exact rules at a large concrete d.
 
 The float LP (scipy/HiGHS) only steers: a feasible answer is certified by an
 exact rational witness check, an infeasible one by an exact rational
 weak-duality certificate reconstructed from the float duals; when neither
-certifies, an exact rational simplex decides.
+certifies, one exact rational simplex solve decides.  Bisection over c
+(best_exponent, search_best) decides without replay and keeps the last
+feasible decision; search_best replays only the winner's witness.
 """
 
 from __future__ import annotations
@@ -331,20 +333,6 @@ def _solve_exact(lp: _BuildAlgebra):
     return res.value, xs
 
 
-def _solve_exact_tight(lp: _BuildAlgebra, margin: Fraction):
-    """Exact simplex phase 2: margin fixed, total variable mass minimized."""
-    rows = []
-    for row in lp.rows:
-        coeffs = [row.get(i, Fraction(0)) for i in range(1, lp.nvars)]
-        rhs = -row.get(_CONST, Fraction(0)) - row.get(_MARGIN, Fraction(0)) * margin
-        rows.append((coeffs, simplex.GE, rhs))
-    obj = [Fraction(-1)] * (lp.nvars - 1)
-    res = simplex.solve(obj, rows)
-    if res.status != simplex.OPTIMAL:
-        return None
-    return [res.x[i - 1] for i in lp.xvars]
-
-
 # --- Feasibility ------------------------------------------------------------
 
 
@@ -400,21 +388,24 @@ def annotation_certificate(
 
 
 def _replay(a, alpha, cc, mode, use_grover, xs, margin):
-    """Replay the witness at a large concrete d; doubles d on floor trouble."""
+    """Replay the witness through the exact rules at one concrete scale d0.
+
+    The rules are homogeneous above their constant-1 floors: scaled by d0, a
+    witness replays the LP walk times d0, and d0 >= 2/(alpha*margin) keeps
+    every strict precondition 2/alpha clear of its bound.  A larger d0 only
+    scales the same chain of classes, so a witness that fails here fails the
+    tight semantics (the squiggle guard row, see _walk_annotation)."""
     base = 10**6
     if margin is not None and margin > 0:
         base = max(base, int(2 / (alpha * margin)) + 1)
     d0 = Fraction(base)
-    for _ in range(10):
-        try:
-            cert = annotation_certificate(a, alpha, cc, mode, use_grover, [x * d0 for x in xs], d0)
-        except (RuleError, ValueError):
-            d0 *= 2
-            continue
-        report = verify_proof(cert)
-        if report.valid and report.contradiction:
-            return True, cert
-        d0 *= 2
+    try:
+        cert = annotation_certificate(a, alpha, cc, mode, use_grover, [x * d0 for x in xs], d0)
+    except (RuleError, ValueError):
+        return False, None
+    report = verify_proof(cert)
+    if report.valid and report.contradiction:
+        return True, cert
     return False, None
 
 
@@ -465,13 +456,6 @@ def feasible(
     margin, xs = _solve_exact(lp)
     if margin is None or margin <= 0:
         return result(False, margin, [], "exact")
-    tight = _witness_margin(a, alpha, cc, mode, use_grover, xs)
-    if tight is None or tight <= 0:
-        xs2 = _solve_exact_tight(lp, margin)
-        if xs2 is not None:
-            tight2 = _witness_margin(a, alpha, cc, mode, use_grover, xs2)
-            if tight2 is not None and tight2 > 0:
-                xs = xs2
     return result(True, margin, xs, "exact")
 
 
@@ -497,10 +481,20 @@ def _midpoint(lo: Fraction, hi: Fraction) -> Fraction:
     return mid
 
 
-def _bisect_c(a, alpha, tol, mode, use_grover, want_cert=True):
-    """Returns (c*, certificate at the last feasible c) or (None, None)."""
+def _check_bisection(alpha: Fraction, tol: Fraction):
+    """The bracket needs 0 < alpha <= 1, and exact bisection ends only for tol > 0."""
+    if not 0 < alpha <= 1:
+        raise ValueError(f"parameter range 0 < alpha <= 1 < c fails: alpha={alpha}")
+    if tol <= 0:
+        raise ValueError(f"tol must be > 0: tol={tol}")
+
+
+def _bisect_c(a, alpha, tol, mode, use_grover):
+    """Returns (c*, the Feasibility at the last feasible c), or (None, None);
+    decides without replay, so a caller that wants a certificate replays."""
     alpha = Fraction(alpha)
     tol = Fraction(tol)
+    _check_bisection(alpha, tol)
     lo_base = max(Fraction(1), 1 / alpha) if "2" in a else Fraction(1)
     hi = (1 + alpha) / alpha
     lo = lo_base + min(Fraction(1, 1000), (hi - lo_base) / 1000)
@@ -521,10 +515,7 @@ def _bisect_c(a, alpha, tol, mode, use_grover, want_cert=True):
             best = f_mid
         else:
             hi = mid
-    cert = None
-    if want_cert:
-        _, cert = _replay(a, alpha, best.c, mode, use_grover, best.witness, best.margin)
-    return (lo + hi) / 2, cert
+    return (lo + hi) / 2, best
 
 
 def best_exponent(
@@ -555,29 +546,31 @@ def search_best(
     use_grover: bool = False,
     workers: int | None = None,
 ) -> SearchResult | None:
-    """Maximize best_exponent over all annotations up to max_len.
+    """Maximize best_exponent over all annotations up to max_len, bisecting
+    each once, and replay the winner's last feasible witness.
 
     Ties break deterministically toward the shortest, then lexicographically
     smallest annotation (the enumeration order)."""
+    alpha = Fraction(alpha)
     annotations = list(enumerate_annotations(max_len, mode))
     results = _map_jobs(
-        _best_exponent_job,
+        _bisect_job,
         [(a, alpha, tol, mode, use_grover) for a in annotations],
         workers,
     )
     best = None
-    for a, c_star in zip(annotations, results):
+    for a, (c_star, f) in zip(annotations, results):
         if c_star is not None and (best is None or c_star > best[0]):
-            best = (c_star, a)
+            best = (c_star, a, f)
     if best is None:
         return None
-    _, cert = _bisect_c(best[1], alpha, tol, mode, use_grover, want_cert=True)
-    return SearchResult(best[0], best[1], cert)
+    c_star, a, f = best
+    _, cert = _replay(a, alpha, f.c, mode, use_grover, f.witness, f.margin)
+    return SearchResult(c_star, a, cert)
 
 
-def _best_exponent_job(args):
-    a, alpha, tol, mode, use_grover = args
-    return _bisect_c(a, alpha, tol, mode, use_grover, want_cert=False)[0]
+def _bisect_job(args):
+    return _bisect_c(*args)
 
 
 # --- Named proof constructors ----------------------------------------------
@@ -677,6 +670,7 @@ def good_proof_best_c(alpha: Fraction, k: int, tol: Fraction = Fraction(1, 10**7
     proper contradiction, by grid scan plus bisection."""
     alpha = Fraction(alpha)
     tol = Fraction(tol)
+    _check_bisection(alpha, tol)
     lo_base = max(Fraction(1), 1 / alpha)
     hi = (1 + alpha) / alpha
     span = hi - lo_base

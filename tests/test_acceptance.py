@@ -18,16 +18,16 @@ from atlb.grover import (
     success_probability,
 )
 from atlb.analytics import Cubic
-from atlb.kernel import DET_TS, TS_MODE, AltClass, check_orderly
+from atlb.kernel import DET_TS, AltClass, check_orderly
 from atlb.rules import slowdown_generic, speedup, speedup_first, squiggle, verify_proof
 from atlb.search import (
-    _bisect_c,
     best_exponent,
     bpts_grover_proof,
     bpts_proof,
     feasible,
     good_proof_best_c,
     optimality_scan,
+    search_best,
 )
 
 F = Fraction
@@ -53,9 +53,9 @@ def test_criterion_1_constant_reproduction():
 
 def test_criterion_2_sigma2_annotation_sqrt2():
     t0 = time.time()
-    c_star, cert = _bisect_c("100", F(1), F(1, 10**7), TS_MODE, False, want_cert=True)
-    err = abs(float(c_star) - math.sqrt(2))
-    rep = verify_proof(cert) if cert is not None else None
+    res = search_best(3, F(1), tol=F(1, 10**7))  # the only annotation is 100
+    err = abs(float(res.best_c) - math.sqrt(2))
+    rep = verify_proof(res.certificate) if res.certificate is not None else None
     verified = rep is not None and rep.valid and rep.contradiction
     elapsed = time.time() - t0
     ok = err < 1e-6 and verified and elapsed < 5.0

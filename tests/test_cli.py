@@ -64,6 +64,22 @@ class TestUsageErrors:
         assert run(["--config", str(cfg), "search", "--alpha", "1", "--max-len", "3"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_search_alpha_zero_exit_two(self, capsys):
+        assert run(["search", "--alpha", "0", "--max-len", "3"]) == EXIT_USAGE
+        assert "alpha=0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-1/100"])
+    def test_search_nonpositive_tol_exit_two(self, tol, capsys):
+        # exact bisection would never reach hi - lo <= tol; fails at once
+        assert run(["search", "--alpha", "1", "--max-len", "3", f"--tol={tol}"]) == EXIT_USAGE
+        assert "tol" in capsys.readouterr().err
+
+    def test_config_nonpositive_tol_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("tol=0\n")
+        assert run(["--config", str(cfg), "search", "--alpha", "1", "--max-len", "3"]) == EXIT_USAGE
+        assert "tol" in capsys.readouterr().err
+
 
 class TestSearchAndScan:
     def test_search_small(self, tmp_path, capsys):

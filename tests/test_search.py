@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from atlb.kernel import BPTS_MODE, TS_MODE
+from atlb import search
+from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
 from atlb.rules import verify_proof
 from atlb.search import (
     GoodProofParams,
@@ -77,6 +78,15 @@ class TestFeasible:
                 want = margin is not None and margin > 0
                 assert got == want, (a, cc)
 
+    def test_exact_simplex_decides_feasible(self):
+        # the float witness fails the tight check here, so the exact simplex
+        # decides; its margin is reported as is
+        f = feasible("10102100", F(1), F(8, 5))
+        assert f.feasible and f.method == "exact"
+        lp = _build_lp("10102100", F(1), F(8, 5), TS_MODE, False)
+        assert f.margin == F(881, 9425) == _solve_exact(lp)[0]
+        assert (f.certificate is None) == (not f.replay_ok)
+
     @pytest.mark.parametrize(
         "a, cc",
         [("100", F(7, 5)), ("1102020", F(17, 10)), ("111100202020", F(44, 25))],
@@ -119,6 +129,28 @@ class TestBestExponent:
         assert res.certificate is not None
         rep = verify_proof(res.certificate)
         assert rep.valid and rep.contradiction
+
+    def test_bisection_decides_each_annotation_once(self, monkeypatch):
+        calls = {"_bisect_c": 0, "_replay": 0}
+
+        def counted(name):
+            orig = getattr(search, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(search, name, counted(name))
+        assert best_exponent("100", F(1), tol=F(1, 10**4)) is not None
+        assert calls["_replay"] == 0
+        calls.update(_bisect_c=0, _replay=0)
+        res = search_best(5, F(1), tol=F(1, 10**4))
+        assert res.certificate is not None
+        assert calls["_bisect_c"] == len(list(enumerate_annotations(5, TS_MODE)))
+        assert calls["_replay"] == 1
 
     def test_search_best_length5_beats_length3(self):
         res = search_best(5, F(1), tol=F(1, 10**4))
@@ -171,6 +203,13 @@ class TestGoodProof:
             got = good_proof_best_c(alpha, k, tol=F(1, 10**6))
             want = oracle_best(alpha, k, tol=F(1, 10**6))
             assert abs(float(got - want)) < 1e-5, (alpha, k)
+
+    @pytest.mark.parametrize("tol", [F(0), F(-1, 100)])
+    def test_bisections_reject_nonpositive_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            good_proof_best_c(F(1), 2, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            best_exponent("100", F(1), tol=tol)
 
     def test_best_c_increases_with_k_toward_limit(self):
         prev = None
