@@ -3,8 +3,8 @@ reports.
 
 Exit codes: 0 success (for `verify`: valid with a contradiction), 10 valid
 certificate without a contradiction, 1 invalid certificate or runtime failure,
-2 usage error.  All `<rat>` arguments accept `p/q` or decimal literals, both
-parsed exactly.
+2 usage error.  All `<rat>` arguments accept `p/q` or decimal literals (no
+exponent notation), both parsed exactly.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _apply_config(args: argparse.Namespace):
 def _cmd_verify(args) -> int:
     try:
         text = Path(args.file).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:

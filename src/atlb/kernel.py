@@ -35,12 +35,19 @@ class AnnotationError(ValueError):
     """Malformed or invalid proof annotation."""
 
 
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|[0-9]+\.?[0-9]*|\.[0-9]+)")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational: an integer, p/q, or a decimal literal."""
+    """Parse an exact rational: an optional sign, then p/q or a decimal literal.
+
+    Exponent notation is rejected: Fraction would build 10^n for "1en"."""
     text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational: {text!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 

@@ -14,6 +14,10 @@ weak-duality certificate reconstructed from the float duals; when neither
 certifies, one exact rational simplex solve decides.  Bisection over c
 (best_exponent, search_best) decides without replay and keeps the last
 feasible decision; search_best replays only the winner's witness.
+
+The named constructors (good_proof, bpts_proof) are annotation certificates
+of fixed annotations with geometric speedup parameters; every certificate is
+assembled by _run_steps, and every bisection runs in _bisect.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .kernel import (
     DET_TS,
     TS_MODE,
     AltClass,
+    _step_height,
     enumerate_annotations,
     validate_annotation,
 )
@@ -360,28 +365,30 @@ def annotation_certificate(
     d0: Fraction,
 ) -> ProofCertificate:
     """Apply the annotation's rules at concrete scale d0 with the given
-    speedup parameters (one per '1')."""
-    ver = BP_TS if mode == BPTS_MODE else DET_TS
-    cls = AltClass((), ver, d0)
-    classes = [cls]
+    speedup parameters (one per '1').  The height trace names each speedup:
+    randomized on a randomized verifier, first at height 0, else usual."""
+    h, ver = 0, BP_TS if mode == BPTS_MODE else DET_TS
     steps: list[RuleStep] = []
     j = 0
     for sym in a:
         if sym == "1":
-            if cls.verifier == BP_TS:
-                name = "speedup_rand"
-            elif cls.blocks:
-                name = "speedup"
-            else:
-                name = "speedup_first"
-            step = RuleStep(name, xs[j])
+            name = "speedup_rand" if ver == BP_TS else "speedup" if h else "speedup_first"
+            steps.append(RuleStep(name, xs[j]))
             j += 1
         elif sym == "0":
-            step = RuleStep("grover" if use_grover and mode == TS_MODE else "slowdown")
+            steps.append(RuleStep("grover" if use_grover and mode == TS_MODE else "slowdown"))
         else:
-            step = RuleStep("squiggle")
+            steps.append(RuleStep("squiggle"))
+        h, ver = _step_height(h, ver, sym, mode)
+    return _run_steps(alpha, cc, mode, d0, steps)
+
+
+def _run_steps(alpha, cc, mode, d0, steps) -> ProofCertificate:
+    """The certificate of the steps applied from the empty class at d0."""
+    cls = AltClass((), BP_TS if mode == BPTS_MODE else DET_TS, Fraction(d0))
+    classes = [cls]
+    for step in steps:
         cls, _ = apply_step(cls, step, alpha, cc, mode)
-        steps.append(step)
         classes.append(cls)
     assumption = expected_assumption(mode, any(s.rule == "grover" for s in steps))
     return ProofCertificate(alpha, cc, mode, assumption, classes, steps)
@@ -489,6 +496,18 @@ def _check_bisection(alpha: Fraction, tol: Fraction):
         raise ValueError(f"tol must be > 0: tol={tol}")
 
 
+def _bisect(pred, lo: Fraction, hi: Fraction, tol: Fraction) -> Fraction:
+    """Midpoint of the bracket [lo, hi], pred(lo) true and pred(hi) false,
+    once bisection has narrowed it to width <= tol."""
+    while hi - lo > tol:
+        mid = _midpoint(lo, hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def _bisect_c(a, alpha, tol, mode, use_grover):
     """Returns (c*, the Feasibility at the last feasible c), or (None, None);
     decides without replay, so a caller that wants a certificate replays."""
@@ -498,24 +517,22 @@ def _bisect_c(a, alpha, tol, mode, use_grover):
     lo_base = max(Fraction(1), 1 / alpha) if "2" in a else Fraction(1)
     hi = (1 + alpha) / alpha
     lo = lo_base + min(Fraction(1, 1000), (hi - lo_base) / 1000)
-    f_lo = feasible(a, alpha, lo, mode, use_grover, replay=False)
-    if not f_lo.feasible:
+    best = feasible(a, alpha, lo, mode, use_grover, replay=False)
+    if not best.feasible:
         return None, None
-    f_hi = feasible(a, alpha, hi, mode, use_grover, replay=False)
-    if f_hi.feasible:
+    if feasible(a, alpha, hi, mode, use_grover, replay=False).feasible:
         raise BracketError(
             f"feasibility not monotone for {a!r}: feasible at both c={lo} and c={hi}"
         )
-    best = f_lo
-    while hi - lo > tol:
-        mid = _midpoint(lo, hi)
-        f_mid = feasible(a, alpha, mid, mode, use_grover, replay=False)
-        if f_mid.feasible:
-            lo = mid
-            best = f_mid
-        else:
-            hi = mid
-    return (lo + hi) / 2, best
+
+    def decide(c):
+        nonlocal best
+        f = feasible(a, alpha, c, mode, use_grover, replay=False)
+        if f.feasible:
+            best = f
+        return f.feasible
+
+    return _bisect(decide, lo, hi, tol), best
 
 
 def best_exponent(
@@ -554,9 +571,7 @@ def search_best(
     alpha = Fraction(alpha)
     annotations = list(enumerate_annotations(max_len, mode))
     results = _map_jobs(
-        _bisect_job,
-        [(a, alpha, tol, mode, use_grover) for a in annotations],
-        workers,
+        _bisect_c, [(a, alpha, tol, mode, use_grover) for a in annotations], workers
     )
     best = None
     for a, (c_star, f) in zip(annotations, results):
@@ -569,11 +584,20 @@ def search_best(
     return SearchResult(c_star, a, cert)
 
 
-def _bisect_job(args):
-    return _bisect_c(*args)
-
-
 # --- Named proof constructors ----------------------------------------------
+
+
+def _geometric(k: int, cc: Fraction, slack: Fraction, base: Fraction):
+    """(r, scale, least d) of the speedups x_i = r^(i-1) * d/scale with
+    r = (1-1/k)/(c*slack).
+
+    scale is base when the speedups fit into d, otherwise just large enough
+    that they do (a contradiction then holds a fortiori); from the least d
+    on every x_i is at least 2, above the constant floors."""
+    r = (1 - Fraction(1, k)) / (cc * slack)
+    s = sum(r**i for i in range(k))
+    scale = base if s < base else s + r ** (k - 1) / (2 * slack)
+    return r, scale, 2 * scale / min(Fraction(1), r) ** (k - 1)
 
 
 @dataclass(frozen=True)
@@ -590,22 +614,9 @@ def good_proof_params(alpha: Fraction, cc: Fraction, k: int, d: Fraction) -> Goo
     x_1 is d/(alpha*c^2) when the speedups fit into d; otherwise it is scaled
     down just enough that they do (the contradiction then holds a fortiori)."""
     alpha, cc, d = Fraction(alpha), Fraction(cc), Fraction(d)
-    eps = Fraction(1, k)
-    tau = (1 - eps) / (cc * (alpha * cc - 1))
-    s = sum(tau**i for i in range(k))
-    base = alpha * cc * cc
-    scale = base if s < base else s + tau ** (k - 1) / (2 * (alpha * cc - 1))
+    tau, scale, _ = _geometric(k, cc, alpha * cc - 1, alpha * cc * cc)
     x1 = d / scale
-    return GoodProofParams(k, eps, tuple(x1 * tau**i for i in range(k)))
-
-
-def _good_proof_min_d(alpha, cc, k) -> Fraction:
-    eps = Fraction(1, k)
-    tau = (1 - eps) / (cc * (alpha * cc - 1))
-    s = sum(tau**i for i in range(k))
-    base = alpha * cc * cc
-    scale = base if s < base else s + tau ** (k - 1) / (2 * (alpha * cc - 1))
-    return 2 * scale / min(Fraction(1), tau) ** (k - 1)
+    return GoodProofParams(k, Fraction(1, k), tuple(x1 * tau**i for i in range(k)))
 
 
 def good_proof(
@@ -623,30 +634,10 @@ def good_proof(
         raise ValueError(
             f"need 1/alpha < c < (1+alpha)/alpha for the squiggle rule: alpha={alpha}, c={cc}"
         )
-    min_d = _good_proof_min_d(alpha, cc, k)
-    if d is None:
-        d = max(Fraction(100), min_d)
-    else:
-        d = max(Fraction(d), min_d)
-    params = good_proof_params(alpha, cc, k, d)
-    steps = [RuleStep("speedup_first", params.x[0])]
-    steps += [RuleStep("speedup", x) for x in params.x[1:]]
-    steps.append(RuleStep("slowdown"))
-    for _ in range(k):
-        steps.append(RuleStep("squiggle"))
-        steps.append(RuleStep("slowdown"))
-    return _run_steps(alpha, cc, TS_MODE, d, steps)
-
-
-def _run_steps(alpha, cc, mode, d0, steps) -> ProofCertificate:
-    ver = BP_TS if mode == BPTS_MODE else DET_TS
-    cls = AltClass((), ver, Fraction(d0))
-    classes = [cls]
-    for step in steps:
-        cls, _ = apply_step(cls, step, alpha, cc, mode)
-        classes.append(cls)
-    assumption = expected_assumption(mode, any(s.rule == "grover" for s in steps))
-    return ProofCertificate(alpha, cc, mode, assumption, classes, list(steps))
+    _, _, min_d = _geometric(k, cc, alpha * cc - 1, alpha * cc * cc)
+    d = max(Fraction(d) if d is not None else Fraction(100), min_d)
+    xs = good_proof_params(alpha, cc, k, d).x
+    return annotation_certificate("1" * k + "0" + "20" * k, alpha, cc, TS_MODE, False, xs, d)
 
 
 def good_proof_contradicts(alpha: Fraction, cc: Fraction, k: int) -> bool:
@@ -687,14 +678,7 @@ def good_proof_best_c(alpha: Fraction, k: int, tol: Fraction = Fraction(1, 10**7
         prev = c
     if lo is None:
         raise RuntimeError(f"no contradicting c found for alpha={alpha}, k={k}")
-    hi = prev
-    while hi - lo > tol:
-        mid = _midpoint(lo, hi)
-        if good_proof_contradicts(alpha, mid, k):
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return _bisect(lambda c: good_proof_contradicts(alpha, c, k), lo, prev, tol)
 
 
 def good_proof_limit(alpha: Fraction, tol: float = 1e-12) -> float:
@@ -713,19 +697,10 @@ def bpts_proof(k: int, cc: Fraction, d: Fraction | None = None) -> ProofCertific
         raise ValueError("k must be >= 1")
     if cc <= 1:
         raise ValueError(f"need c > 1: c={cc}")
-    eps = Fraction(1, k)
-    rho = (1 - eps) / cc
-    s = sum(rho**i for i in range(k))
-    c3 = cc**3
-    scale = c3 if s < c3 else s + rho ** (k - 1) / 2
-    min_d = 2 * scale / rho ** (k - 1)
+    rho, scale, min_d = _geometric(k, cc, 1, cc**3)
     d = max(Fraction(d) if d is not None else Fraction(100), min_d)
-    x1 = d / scale
-    xs = [x1 * rho**i for i in range(k)]
-    steps = [RuleStep("speedup_rand", xs[0])]
-    steps += [RuleStep("speedup", x) for x in xs[1:]]
-    steps += [RuleStep("slowdown")] * (k + 2)
-    return _run_steps(Fraction(1), cc, BPTS_MODE, d, steps)
+    xs = [d / scale * rho**i for i in range(k)]
+    return annotation_certificate("1" * k + "0" * (k + 2), Fraction(1), cc, BPTS_MODE, False, xs, d)
 
 
 def bpts_grover_proof(cc: Fraction, d: Fraction | None = None) -> ProofCertificate:
@@ -743,10 +718,8 @@ def bpts_grover_proof(cc: Fraction, d: Fraction | None = None) -> ProofCertifica
         RuleStep("slowdown"),
     ]
     cls = AltClass((), BP_TS, d0)
-    classes = [cls]
     for step in steps:
         cls, _ = apply_step(cls, step, Fraction(1), cc, BPTS_MODE)
-        classes.append(cls)
     for _ in range(10**5):
         if cc * cls.d <= d0:
             break  # the final slowdown already lands at or below d0
@@ -755,12 +728,8 @@ def bpts_grover_proof(cc: Fraction, d: Fraction | None = None) -> ProofCertifica
             break  # no contraction at this c
         steps.append(RuleStep("grover"))
         cls = nxt
-        classes.append(cls)
     steps.append(RuleStep("slowdown"))
-    cls, _ = apply_step(cls, RuleStep("slowdown"), Fraction(1), cc, BPTS_MODE)
-    classes.append(cls)
-    assumption = expected_assumption(BPTS_MODE, any(s.rule == "grover" for s in steps))
-    return ProofCertificate(Fraction(1), cc, BPTS_MODE, assumption, classes, steps)
+    return _run_steps(Fraction(1), cc, BPTS_MODE, d0, steps)
 
 
 # --- Optimality scan --------------------------------------------------------
@@ -813,22 +782,18 @@ def optimality_scan(
     report = ScanReport(alpha, cc, mode, max_len, use_grover)
     annotations = list(enumerate_annotations(max_len, mode))
     results = _map_jobs(
-        _scan_job, [(a, alpha, cc, mode, use_grover) for a in annotations], workers
+        feasible, [(a, alpha, cc, mode, use_grover) for a in annotations], workers
     )
     for f in results:
         report.entries.append(ScanEntry(f.annotation, f.feasible, f.margin, f.replay_ok))
     return report
 
 
-def _scan_job(args):
-    a, alpha, cc, mode, use_grover = args
-    return feasible(a, alpha, cc, mode, use_grover)
-
-
 def _map_jobs(fn, jobs, workers):
+    """fn(*job) for each job, in order; in a process pool when workers > 1."""
     if workers and workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs, chunksize=16))
-    return [fn(job) for job in jobs]
+            return list(pool.map(fn, *zip(*jobs), chunksize=16))
+    return [fn(*job) for job in jobs]

@@ -45,6 +45,24 @@ class TestVerify:
         assert run(["verify", str(p)]) == EXIT_INVALID
         capsys.readouterr()
 
+    def test_non_utf8_file_exit_one(self, tmp_path, capsys):
+        p = tmp_path / "binary.txt"
+        p.write_bytes(b"\xff\xfe")
+        assert run(["verify", str(p)]) == EXIT_INVALID
+        assert "utf-8" in capsys.readouterr().err
+
+    def test_exponent_notation_exit_one(self, tmp_path, capsys):
+        # Fraction("1e999999999") would build a billion-digit integer
+        out = tmp_path / "proof.txt"
+        run(["good-proof", "--alpha", "1", "--c", "1.5", "--k", "1", "--out", str(out)])
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("step 1:"))
+        lines[i] = "step 1: speedup_first x=1e999999999"
+        out.write_text("\n".join(lines) + "\n")
+        assert run(["verify", str(out)]) == EXIT_INVALID
+        assert "not a rational" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_bad_rational_exit_two(self, capsys):
@@ -52,6 +70,12 @@ class TestUsageErrors:
             run(["search", "--alpha", "banana"])
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
+
+    def test_exponent_notation_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["optimality", "--alpha", "1", "--c", "1e3"])
+        assert exc.value.code == EXIT_USAGE
+        assert "not a rational" in capsys.readouterr().err
 
     def test_bpts_proof_needs_k_without_grover(self, tmp_path, capsys):
         out = tmp_path / "p.txt"

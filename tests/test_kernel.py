@@ -83,6 +83,16 @@ class TestParseRational:
         with pytest.raises(ValueError):
             parse_rational("x")
 
+    @pytest.mark.parametrize("text", ["1e3", "2E-1", "1_000", "1/2/3", "1.5/2", ".", "--1", "1 /2"])
+    def test_rejects_other_than_fraction_or_decimal(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    def test_sign_and_decimal_point(self):
+        assert parse_rational("-3/4") == Fraction(-3, 4)
+        assert parse_rational("+.5") == Fraction(1, 2)
+        assert parse_rational("2.") == 2
+
 
 class TestCheckOrderly:
     def test_orderly(self):

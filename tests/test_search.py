@@ -1,19 +1,22 @@
 """Linear relaxation feasibility, bisection, proof constructors, scans."""
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from atlb import search
 from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
-from atlb.rules import verify_proof
+from atlb.rules import format_certificate, verify_proof
 from atlb.search import (
     GoodProofParams,
     _build_lp,
     _EvalAlgebra,
     _solve_exact,
     _walk_annotation,
+    annotation_certificate,
     best_exponent,
     bpts_grover_proof,
     bpts_proof,
@@ -273,6 +276,26 @@ class TestBptsGroverProof:
         assert any(s.rule == "grover" for s in cert.steps)
 
 
+class TestNamedConstructorsAreAnnotations:
+    @pytest.mark.parametrize(
+        "alpha,cc,k",
+        [(F(1), F(3, 2), 1), (F(1), F(3, 2), 2), (F(1), F(17, 10), 5), (F(2, 3), F(9, 5), 3), (F(4, 5), F(3, 2), 8)],
+    )
+    def test_good_proof(self, alpha, cc, k):
+        cert = good_proof(alpha, cc, k)
+        d = cert.classes[0].d
+        xs = good_proof_params(alpha, cc, k, d).x
+        assert cert == annotation_certificate("1" * k + "0" + "20" * k, alpha, cc, TS_MODE, False, xs, d)
+
+    @pytest.mark.parametrize("k,cc", [(1, F(7, 5)), (3, F(73, 50)), (10, F(3, 2))])
+    def test_bpts_proof(self, k, cc):
+        cert = bpts_proof(k, cc)
+        xs = [s.x for s in cert.steps if s.x is not None]
+        assert len(xs) == k
+        a = "1" * k + "0" * (k + 2)
+        assert cert == annotation_certificate(a, F(1), cc, BPTS_MODE, False, xs, cert.classes[0].d)
+
+
 class TestOptimalityScan:
     def test_scan_below_sqrt2_finds_100(self):
         rep = optimality_scan(F(1), F(7, 5), 3)
@@ -290,3 +313,34 @@ class TestOptimalityScan:
         rep = optimality_scan(F(1), F(7, 5), 5)
         anns = [e.annotation for e in rep.entries]
         assert anns == sorted(anns, key=lambda a: (len(a), a))
+
+    def test_scan_independent_of_workers(self):
+        serial = optimality_scan(F(1), F(3, 2), 6)
+        pooled = optimality_scan(F(1), F(3, 2), 6, workers=2)
+        assert pooled.entries == serial.entries
+
+
+def test_search_best_independent_of_workers():
+    serial = search_best(5, F(1), tol=F(1, 10**4))
+    pooled = search_best(5, F(1), tol=F(1, 10**4), workers=2)
+    assert pooled.annotation == serial.annotation
+    assert pooled.best_c == serial.best_c
+    assert format_certificate(pooled.certificate) == format_certificate(serial.certificate)
+
+
+def _load_perfbench_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_tracer_binds_search():
+    # perfbench/tracing.py wraps these functions by attribute name; a missing
+    # one breaks the traced benchmark with AttributeError
+    tracer = _load_perfbench_tracing().Tracer()
+    with tracer.installed():
+        optimality_scan(F(1), F(7, 5), 3)
+    names = {span[0] for span in tracer.spans}
+    assert {"feasible", "linprog", "apply_step", "verify_proof"} <= names
