@@ -11,9 +11,16 @@ answer is replayed once through the exact rules at a large concrete d.
 The float LP (scipy/HiGHS) only steers: a feasible answer is certified by an
 exact rational witness check, an infeasible one by an exact rational
 weak-duality certificate reconstructed from the float duals; when neither
-certifies, one exact rational simplex solve decides.  Bisection over c
-(best_exponent, search_best) decides without replay and keeps the last
-feasible decision; search_best replays only the winner's witness.
+certifies, one exact rational simplex solve decides.  The float LPs are solved
+in batches: the LPs of a batch share no variable and no row, so they stack
+into one block-diagonal LP whose objective is the sum of their margins, and
+its optimum and duals split into an optimum and duals of each block.  Scans
+and searches cut their annotations into fixed batches; a process pool
+spreads whole batches, so the number of workers changes no answer.
+Bisection over c (best_exponent, search_best) runs the annotations of a batch
+in lockstep, deciding the midpoints of every open bracket in one float solve
+a round, decides without replay and keeps the last feasible decision;
+search_best replays only the winner's witness.
 
 The named constructors (good_proof, bpts_proof) are annotation certificates
 of fixed annotations with geometric speedup parameters; every certificate is
@@ -27,6 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from . import simplex
 from .analytics import largest_root_cubic, p_alpha
@@ -53,6 +61,13 @@ _CONST = -1
 _MARGIN = 0
 
 _FLOAT_TOL = 1e-9
+
+# LPs per float solve in scans and bisection rounds.  On a 2-vCPU Xeon a
+# lone solve takes 3-4 ms, nearly all of it linprog's per-call overhead; per
+# LP, batches of 16 cost 0.5-0.6 ms, of 32 to 128 0.4-0.5 ms.  HiGHS's
+# working memory grows by ~35 KB per LP of a batch (the peak RSS of a
+# length-8 scan grows by 1.25 MB at 32 and 5.5 MB at 128), so 32 it is.
+_BATCH = 32
 
 
 # --- Shared annotation walk -------------------------------------------------
@@ -281,9 +296,10 @@ def _dual_bound(lp: _BuildAlgebra, support: list[int], w: list[Fraction]) -> Fra
     return bound if bound <= 0 else None
 
 
-def _certify_infeasible(lp: _BuildAlgebra, res) -> Fraction | None:
-    """Exact weak-duality upper bound on the margin; returns it iff <= 0."""
-    w_float = -res.ineqlin.marginals
+def _certify_infeasible(lp: _BuildAlgebra, x, duals) -> Fraction | None:
+    """Exact weak-duality upper bound on the margin from the float solution
+    x and row duals; returns it iff <= 0."""
+    w_float = -duals
     support = [r for r, v in enumerate(w_float) if v > 1e-11]
     if not support:
         return None
@@ -295,7 +311,7 @@ def _certify_infeasible(lp: _BuildAlgebra, res) -> Fraction | None:
             if bound is not None:
                 return bound
     # exact path: recover the multipliers from the tight rows and columns
-    tight = [_MARGIN] + [i for i in range(1, lp.nvars) if res.x[i] > 1e-9]
+    tight = [_MARGIN] + [i for i in range(1, lp.nvars) if x[i] > 1e-9]
     a_rows = [[lp.rows[r].get(i, Fraction(0)) for r in support] for i in tight]
     b = [Fraction(-1)] + [Fraction(0)] * (len(tight) - 1)
     sol = _solve_rational(a_rows, b)
@@ -304,20 +320,48 @@ def _certify_infeasible(lp: _BuildAlgebra, res) -> Fraction | None:
     return _dual_bound(lp, support, sol)
 
 
-def _solve_float(lp: _BuildAlgebra):
-    n = lp.nvars
-    a_ub = np.zeros((len(lp.rows), n))
-    b_ub = np.zeros(len(lp.rows))
-    for r, row in enumerate(lp.rows):
-        for i, coeff in row.items():
-            if i == _CONST:
-                b_ub[r] = float(coeff)
-            else:
-                a_ub[r, i] = -float(coeff)
-    c = np.zeros(n)
-    c[_MARGIN] = -1.0
-    bounds = [(None, None)] + [(0, None)] * (n - 1)
-    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+def _solve_floats(lps: list[_BuildAlgebra]) -> list:
+    """Float solution (x, row duals) of each LP, from one HiGHS solve of the
+    block-diagonal LP that maximizes the sum of their margins; None for every
+    block when that solve does not end optimal.
+
+    The blocks share no variable and no row, so an optimum of the sum is an
+    optimum of each block, and the duals of a block's rows are duals of its
+    LP.  The matrix is sparse: dense, it would grow with the square of the
+    batch (~26 MB for 145 LPs)."""
+    if not lps:
+        return []
+    rows, cols, vals, b_ub, spans = [], [], [], [], []
+    nvars = 0
+    for lp in lps:
+        r0 = len(b_ub)
+        spans.append((nvars, r0))
+        for r, row in enumerate(lp.rows):
+            b = 0.0
+            for i, coeff in row.items():
+                if i == _CONST:
+                    b = float(coeff)
+                else:
+                    rows.append(r0 + r)
+                    cols.append(nvars + i)
+                    vals.append(-float(coeff))
+            b_ub.append(b)
+        nvars += lp.nvars
+    margins = [v0 + _MARGIN for v0, _ in spans]
+    c = np.zeros(nvars)
+    c[margins] = -1.0
+    bounds = np.zeros((nvars, 2))
+    bounds[:, 1] = np.inf
+    bounds[margins, 0] = -np.inf
+    a_ub = csc_array((vals, (rows, cols)), shape=(len(b_ub), nvars))
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if res.status != 0:
+        return [None] * len(lps)
+    duals = res.ineqlin.marginals
+    return [
+        (res.x[v0 : v0 + lp.nvars], duals[r0 : r0 + len(lp.rows)])
+        for lp, (v0, r0) in zip(lps, spans)
+    ]
 
 
 def _solve_exact(lp: _BuildAlgebra):
@@ -416,6 +460,35 @@ def _replay(a, alpha, cc, mode, use_grover, xs, margin):
     return False, None
 
 
+def _check_params(alpha, mode=TS_MODE, use_grover=False, cc=None, tol=None):
+    """Raise ValueError for what no decision accepts: alpha outside (0, 1],
+    c <= 1, grover outside ts mode, or tol <= 0 (exact bisection would never
+    end).  Scans and searches check once, before enumerating."""
+    if not 0 < alpha <= 1 or (cc is not None and cc <= 1):
+        got = f"alpha={alpha}" + ("" if cc is None else f", c={cc}")
+        raise ValueError(f"parameter range 0 < alpha <= 1 < c fails: {got}")
+    if use_grover and mode != TS_MODE:
+        raise ValueError("grover collapse search applies in ts mode only")
+    if tol is not None and tol <= 0:
+        raise ValueError(f"tol must be > 0: tol={tol}")
+
+
+def _lp_of(a, alpha, cc, mode, use_grover) -> _BuildAlgebra | None:
+    """The annotation's LP, or None when a squiggle's precondition
+    1/alpha < c < (1+alpha)/alpha fails whatever the parameters."""
+    if "2" in a and not (alpha * cc > 1 and cc < (1 + alpha) / alpha):
+        return None
+    return _build_lp(a, alpha, cc, mode, use_grover)
+
+
+def _solve_batch(jobs) -> list[tuple]:
+    """(LP or None, float solution) of each (a, alpha, c, mode, use_grover)
+    job, from one float solve of all the LPs."""
+    lps = [_lp_of(*job) for job in jobs]
+    sols = iter(_solve_floats([lp for lp in lps if lp is not None]))
+    return [(lp, None if lp is None else next(sols)) for lp in lps]
+
+
 def feasible(
     a: str,
     alpha: Fraction,
@@ -423,17 +496,19 @@ def feasible(
     mode: str = TS_MODE,
     use_grover: bool = False,
     replay: bool = True,
+    *,
+    _solved: tuple | None = None,
 ) -> Feasibility:
     """Decide the linear relaxation for (annotation, alpha, c) and replay any
-    positive answer through the exact rules (skipped when replay=False)."""
+    positive answer through the exact rules (skipped when replay=False).
+
+    _solved is this decision's (LP, float solution) from a batch
+    (_decide_batch); without it the decision is a batch of one."""
     alpha, cc = Fraction(alpha), Fraction(cc)
     report = validate_annotation(a, mode)
     if not (report.valid and report.complete):
         raise ValueError(f"annotation {a!r} is not a valid complete {mode} annotation")
-    if not 0 < alpha <= 1 < cc:
-        raise ValueError(f"parameter range 0 < alpha <= 1 < c fails: alpha={alpha}, c={cc}")
-    if use_grover and mode != TS_MODE:
-        raise ValueError("grover collapse search applies in ts mode only")
+    _check_params(alpha, mode, use_grover, cc=cc)
 
     def result(ok, margin, xs, method):
         replay_ok, cert = (False, None)
@@ -441,22 +516,20 @@ def feasible(
             replay_ok, cert = _replay(a, alpha, cc, mode, use_grover, xs, margin)
         return Feasibility(a, alpha, cc, mode, ok, margin, xs, replay_ok, cert, method)
 
-    if "2" in a and not (alpha * cc > 1 and cc < (1 + alpha) / alpha):
+    lp, sol = _solved or _solve_batch([(a, alpha, cc, mode, use_grover)])[0]
+    if lp is None:
         return result(False, None, [], "precondition")
 
-    lp = _build_lp(a, alpha, cc, mode, use_grover)
-    res = _solve_float(lp)
-    if res.status == 0:
-        mval = -res.fun
+    if sol is not None:
+        x, duals = sol
+        mval = x[_MARGIN]
         if mval > _FLOAT_TOL:
-            xs = [
-                Fraction(float(res.x[i])).limit_denominator(10**12) for i in lp.xvars
-            ]
+            xs = [Fraction(float(x[i])).limit_denominator(10**12) for i in lp.xvars]
             margin = _witness_margin(a, alpha, cc, mode, use_grover, xs)
             if margin is not None and margin > 0:
                 return result(True, margin, xs, "float+primal")
         elif mval < -_FLOAT_TOL:
-            bound = _certify_infeasible(lp, res)
+            bound = _certify_infeasible(lp, x, duals)
             if bound is not None:
                 return result(False, bound, [], "float+dual")
 
@@ -464,6 +537,28 @@ def feasible(
     if margin is None or margin <= 0:
         return result(False, margin, [], "exact")
     return result(True, margin, xs, "exact")
+
+
+def _decide_batch(jobs, replay):
+    """feasible(*job, replay=replay) of each job, all from one float solve."""
+    solved = _solve_batch(jobs)
+    return [feasible(*job, replay=replay, _solved=s) for job, s in zip(jobs, solved)]
+
+
+def _map_batches(fn, items, workers, *args) -> list:
+    """fn(batch, *args) of each run of _BATCH consecutive items, results
+    joined in order; in a process pool when workers > 1.  The pool maps whole
+    batches, so which items share a float solve, and hence every answer,
+    depends on the items only."""
+    batches = [items[i : i + _BATCH] for i in range(0, len(items), _BATCH)]
+    if workers and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(fn, batches, *([arg] * len(batches) for arg in args)))
+    else:
+        done = [fn(batch, *args) for batch in batches]
+    return [r for batch in done for r in batch]
 
 
 # --- Bisection over c -------------------------------------------------------
@@ -488,51 +583,55 @@ def _midpoint(lo: Fraction, hi: Fraction) -> Fraction:
     return mid
 
 
-def _check_bisection(alpha: Fraction, tol: Fraction):
-    """The bracket needs 0 < alpha <= 1, and exact bisection ends only for tol > 0."""
-    if not 0 < alpha <= 1:
-        raise ValueError(f"parameter range 0 < alpha <= 1 < c fails: alpha={alpha}")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0: tol={tol}")
+def _bisect(decide, brackets, tol: Fraction) -> list[Fraction]:
+    """Midpoint of each bracket [lo, hi], decided true at lo and false at hi,
+    once bisection has narrowed it to width <= tol.  The brackets move in
+    lockstep: each round makes one call decide(positions, cs) with the
+    midpoint c of every bracket still open and its position in the list, and
+    takes one verdict per midpoint back."""
+    brackets = [list(b) for b in brackets]
+    while open_ := [p for p, (lo, hi) in enumerate(brackets) if hi - lo > tol]:
+        mids = [_midpoint(*brackets[p]) for p in open_]
+        for p, mid, ok in zip(open_, mids, decide(open_, mids)):
+            brackets[p][0 if ok else 1] = mid
+    return [(lo + hi) / 2 for lo, hi in brackets]
 
 
-def _bisect(pred, lo: Fraction, hi: Fraction, tol: Fraction) -> Fraction:
-    """Midpoint of the bracket [lo, hi], pred(lo) true and pred(hi) false,
-    once bisection has narrowed it to width <= tol."""
-    while hi - lo > tol:
-        mid = _midpoint(lo, hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
-def _bisect_c(a, alpha, tol, mode, use_grover):
-    """Returns (c*, the Feasibility at the last feasible c), or (None, None);
-    decides without replay, so a caller that wants a certificate replays."""
-    alpha = Fraction(alpha)
-    tol = Fraction(tol)
-    _check_bisection(alpha, tol)
-    lo_base = max(Fraction(1), 1 / alpha) if "2" in a else Fraction(1)
+def _bisect_cs(annotations, alpha, tol, mode, use_grover):
+    """(c*, the Feasibility at the last feasible c) of each annotation, or
+    (None, None) when it is infeasible near c = 1.  The annotations bisect in
+    lockstep, each round one float solve of the open brackets' midpoints;
+    every verdict is exact, so each annotation meets the midpoints it would
+    meet alone.  Decides without replay, so a caller that wants a
+    certificate replays."""
     hi = (1 + alpha) / alpha
-    lo = lo_base + min(Fraction(1, 1000), (hi - lo_base) / 1000)
-    best = feasible(a, alpha, lo, mode, use_grover, replay=False)
-    if not best.feasible:
-        return None, None
-    if feasible(a, alpha, hi, mode, use_grover, replay=False).feasible:
-        raise BracketError(
-            f"feasibility not monotone for {a!r}: feasible at both c={lo} and c={hi}"
-        )
+    best = [None] * len(annotations)
 
-    def decide(c):
-        nonlocal best
-        f = feasible(a, alpha, c, mode, use_grover, replay=False)
-        if f.feasible:
-            best = f
-        return f.feasible
+    def decide(idx, cs):
+        jobs = [(annotations[i], alpha, c, mode, use_grover) for i, c in zip(idx, cs)]
+        fs = _decide_batch(jobs, False)
+        for i, f in zip(idx, fs):
+            if f.feasible:
+                best[i] = f
+        return [f.feasible for f in fs]
 
-    return _bisect(decide, lo, hi, tol), best
+    def lo_of(a):
+        base = max(Fraction(1), 1 / alpha) if "2" in a else Fraction(1)
+        return base + min(Fraction(1, 1000), (hi - base) / 1000)
+
+    los = [lo_of(a) for a in annotations]
+    live = [i for i, ok in enumerate(decide(range(len(annotations)), los)) if ok]
+    for i, ok in zip(live, decide(live, [hi] * len(live))):
+        if ok:
+            raise BracketError(
+                f"feasibility not monotone for {annotations[i]!r}: "
+                f"feasible at both c={los[i]} and c={hi}"
+            )
+    c_stars = _bisect(
+        lambda pos, cs: decide([live[p] for p in pos], cs), [(los[i], hi) for i in live], tol
+    )
+    c_star = dict(zip(live, c_stars))
+    return [(c_star[i], best[i]) if i in c_star else (None, None) for i in range(len(annotations))]
 
 
 def best_exponent(
@@ -544,8 +643,9 @@ def best_exponent(
 ) -> Fraction | None:
     """Largest c (within tol) at which the annotation is feasible, by
     bisection; None if it is infeasible even near c = 1."""
-    c_star, _ = _bisect_c(a, alpha, tol, mode, use_grover)
-    return c_star
+    alpha, tol = Fraction(alpha), Fraction(tol)
+    _check_params(alpha, mode, use_grover, tol=tol)
+    return _bisect_cs([a], alpha, tol, mode, use_grover)[0][0]
 
 
 @dataclass
@@ -564,15 +664,15 @@ def search_best(
     workers: int | None = None,
 ) -> SearchResult | None:
     """Maximize best_exponent over all annotations up to max_len, bisecting
-    each once, and replay the winner's last feasible witness.
+    each batch of them once in lockstep, and replay the winner's last
+    feasible witness.
 
     Ties break deterministically toward the shortest, then lexicographically
     smallest annotation (the enumeration order)."""
-    alpha = Fraction(alpha)
+    alpha, tol = Fraction(alpha), Fraction(tol)
+    _check_params(alpha, mode, use_grover, tol=tol)
     annotations = list(enumerate_annotations(max_len, mode))
-    results = _map_jobs(
-        _bisect_c, [(a, alpha, tol, mode, use_grover) for a in annotations], workers
-    )
+    results = _map_batches(_bisect_cs, annotations, workers, alpha, tol, mode, use_grover)
     best = None
     for a, (c_star, f) in zip(annotations, results):
         if c_star is not None and (best is None or c_star > best[0]):
@@ -659,9 +759,8 @@ def good_proof_contradicts(alpha: Fraction, cc: Fraction, k: int) -> bool:
 def good_proof_best_c(alpha: Fraction, k: int, tol: Fraction = Fraction(1, 10**7)) -> Fraction:
     """Largest c (within tol) at which the Good proof of height k shows a
     proper contradiction, by grid scan plus bisection."""
-    alpha = Fraction(alpha)
-    tol = Fraction(tol)
-    _check_bisection(alpha, tol)
+    alpha, tol = Fraction(alpha), Fraction(tol)
+    _check_params(alpha, tol=tol)
     lo_base = max(Fraction(1), 1 / alpha)
     hi = (1 + alpha) / alpha
     span = hi - lo_base
@@ -678,7 +777,10 @@ def good_proof_best_c(alpha: Fraction, k: int, tol: Fraction = Fraction(1, 10**7
         prev = c
     if lo is None:
         raise RuntimeError(f"no contradicting c found for alpha={alpha}, k={k}")
-    return _bisect(lambda c: good_proof_contradicts(alpha, c, k), lo, prev, tol)
+    [c_star] = _bisect(
+        lambda _, cs: [good_proof_contradicts(alpha, c, k) for c in cs], [(lo, prev)], tol
+    )
+    return c_star
 
 
 def good_proof_limit(alpha: Fraction, tol: float = 1e-12) -> float:
@@ -777,23 +879,11 @@ def optimality_scan(
     workers: int | None = None,
 ) -> ScanReport:
     """Run the feasibility relaxation on every valid complete annotation up to
-    max_len; deterministic order."""
+    max_len, in batches (see _map_batches); deterministic order."""
     alpha, cc = Fraction(alpha), Fraction(cc)
+    _check_params(alpha, mode, use_grover, cc=cc)
     report = ScanReport(alpha, cc, mode, max_len, use_grover)
-    annotations = list(enumerate_annotations(max_len, mode))
-    results = _map_jobs(
-        feasible, [(a, alpha, cc, mode, use_grover) for a in annotations], workers
-    )
-    for f in results:
+    jobs = [(a, alpha, cc, mode, use_grover) for a in enumerate_annotations(max_len, mode)]
+    for f in _map_batches(_decide_batch, jobs, workers, True):
         report.entries.append(ScanEntry(f.annotation, f.feasible, f.margin, f.replay_ok))
     return report
-
-
-def _map_jobs(fn, jobs, workers):
-    """fn(*job) for each job, in order; in a process pool when workers > 1."""
-    if workers and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*jobs), chunksize=16))
-    return [fn(*job) for job in jobs]

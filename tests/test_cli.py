@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, round trips, config files."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import atlb
 from atlb.cli import EXIT_INVALID, EXIT_NO_CONTRADICTION, EXIT_OK, EXIT_USAGE, main
 
 
@@ -104,6 +107,23 @@ class TestUsageErrors:
         assert run(["--config", str(cfg), "search", "--alpha", "1", "--max-len", "3"]) == EXIT_USAGE
         assert "tol" in capsys.readouterr().err
 
+    # parameters are checked before enumerating, so the exit code does not
+    # depend on whether any annotation of that length exists
+    @pytest.mark.parametrize("max_len", ["3", "5"])
+    def test_optimality_grover_outside_ts_exit_two(self, max_len, capsys):
+        args = ["optimality", "--alpha", "1", "--c", "3/2", "--max-len", max_len, "--mode", "bpts", "--grover"]
+        assert run(args) == EXIT_USAGE
+        assert "grover" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["ts", "bpts"])
+    def test_search_alpha_zero_any_mode_exit_two(self, mode, capsys):
+        assert run(["search", "--alpha", "0", "--max-len", "3", "--mode", mode]) == EXIT_USAGE
+        assert "alpha=0" in capsys.readouterr().err
+
+    def test_optimality_c_at_most_one_exit_two(self, capsys):
+        assert run(["optimality", "--alpha", "1", "--c", "1", "--max-len", "2"]) == EXIT_USAGE
+        assert "c=1" in capsys.readouterr().err
+
 
 class TestSearchAndScan:
     def test_search_small(self, tmp_path, capsys):
@@ -184,10 +204,14 @@ class TestGrover:
 
 
 def test_console_script_installed():
+    # the child imports the atlb this process imports, installed or not
+    src = str(Path(atlb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "atlb.cli", "grover", "--n", "4", "--marked", "1", "--j", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == EXIT_OK
     assert "1.000000000000" in proc.stdout

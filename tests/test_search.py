@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from scipy.optimize import OptimizeResult
 
 from atlb import search
 from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
@@ -16,6 +17,7 @@ from atlb.search import (
     _EvalAlgebra,
     _solve_exact,
     _walk_annotation,
+    _witness_margin,
     annotation_certificate,
     best_exponent,
     bpts_grover_proof,
@@ -134,7 +136,10 @@ class TestBestExponent:
         assert rep.valid and rep.contradiction
 
     def test_bisection_decides_each_annotation_once(self, monkeypatch):
-        calls = {"_bisect_c": 0, "_replay": 0}
+        # the lockstep bisection of search_best makes exactly the decisions
+        # of one best_exponent per annotation, in fewer float solves, and
+        # replays only the winner
+        calls = {"feasible": 0, "_replay": 0, "linprog": 0}
 
         def counted(name):
             orig = getattr(search, name)
@@ -147,13 +152,30 @@ class TestBestExponent:
 
         for name in calls:
             monkeypatch.setattr(search, name, counted(name))
-        assert best_exponent("100", F(1), tol=F(1, 10**4)) is not None
+        tol = F(1, 10**4)
+        solo_decisions = 0
+        for a in enumerate_annotations(5, TS_MODE):
+            calls.update(feasible=0)
+            best_exponent(a, F(1), tol=tol)
+            solo_decisions += calls["feasible"]
+        assert best_exponent("100", F(1), tol=tol) is not None
         assert calls["_replay"] == 0
-        calls.update(_bisect_c=0, _replay=0)
-        res = search_best(5, F(1), tol=F(1, 10**4))
+        calls.update(feasible=0, _replay=0, linprog=0)
+        res = search_best(5, F(1), tol=tol)
         assert res.certificate is not None
-        assert calls["_bisect_c"] == len(list(enumerate_annotations(5, TS_MODE)))
+        assert calls["feasible"] == solo_decisions
         assert calls["_replay"] == 1
+        assert calls["linprog"] < calls["feasible"]
+
+    @pytest.mark.parametrize("alpha", [F(2, 3), F(1)])
+    def test_search_best_is_max_of_best_exponent(self, alpha):
+        best = None
+        for a in enumerate_annotations(6, TS_MODE):
+            c = best_exponent(a, alpha)
+            if c is not None and (best is None or c > best[0]):
+                best = (c, a)
+        res = search_best(6, alpha)
+        assert (res.best_c, res.annotation) == best
 
     def test_search_best_length5_beats_length3(self):
         res = search_best(5, F(1), tol=F(1, 10**4))
@@ -319,12 +341,79 @@ class TestOptimalityScan:
         pooled = optimality_scan(F(1), F(3, 2), 6, workers=2)
         assert pooled.entries == serial.entries
 
+    def test_scan_independent_of_workers_across_batches(self):
+        serial = optimality_scan(F(1), F(3, 2), 8)
+        assert serial.total == 145 > search._BATCH
+        pooled = optimality_scan(F(1), F(3, 2), 8, workers=2)
+        assert pooled.entries == serial.entries
+
+
+def _record_decisions(monkeypatch) -> list:
+    """Every Feasibility that search.feasible returns from now on."""
+    decided, solo = [], search.feasible
+
+    def recorded(*args, **kwargs):
+        decided.append(solo(*args, **kwargs))
+        return decided[-1]
+
+    monkeypatch.setattr(search, "feasible", recorded)
+    return decided
+
+
+class TestBatchedDecisions:
+    @pytest.mark.parametrize(
+        "alpha,cc", [(F(1), F(1517, 1000)), (F(1), F(8, 5)), (F(4, 5), F(17, 10))]
+    )
+    def test_scan_matches_solo_decisions(self, alpha, cc, monkeypatch):
+        # a batch may pick another optimal vertex than a lone solve, so a
+        # margin or witness may differ, but every one must be exact
+        decided = _record_decisions(monkeypatch)
+        report = optimality_scan(alpha, cc, 8)
+        monkeypatch.undo()
+        assert report.total == 145 > search._BATCH
+        assert [f.annotation for f in decided] == [e.annotation for e in report.entries]
+        for f in decided:
+            alone = feasible(f.annotation, alpha, cc)
+            got = (f.feasible, f.replay_ok, f.method)
+            assert got == (alone.feasible, alone.replay_ok, alone.method), f.annotation
+            if not f.feasible:
+                assert f.margin is None or f.margin <= 0
+            elif f.method == "float+primal":
+                assert f.margin > 0
+                assert f.margin == _witness_margin(f.annotation, alpha, cc, TS_MODE, False, f.witness)
+            else:
+                assert f.method == "exact" and f.margin > 0
+                lp = _build_lp(f.annotation, alpha, cc, TS_MODE, False)
+                assert f.margin == _solve_exact(lp)[0]
+
+    def test_failed_float_solve_falls_to_exact_simplex(self, monkeypatch):
+        # a batch whose solve does not end optimal sends every block to the
+        # exact simplex
+        want = optimality_scan(F(1), F(3, 2), 6)
+        monkeypatch.setattr(search, "linprog", lambda *args, **kwargs: OptimizeResult(status=4))
+        decided = _record_decisions(monkeypatch)
+        got = optimality_scan(F(1), F(3, 2), 6)
+        assert [(e.annotation, e.feasible, e.replay_ok) for e in got.entries] == [
+            (e.annotation, e.feasible, e.replay_ok) for e in want.entries
+        ]
+        assert len(decided) == got.total
+        assert {f.method for f in decided} == {"exact"}
+
 
 def test_search_best_independent_of_workers():
     serial = search_best(5, F(1), tol=F(1, 10**4))
     pooled = search_best(5, F(1), tol=F(1, 10**4), workers=2)
     assert pooled.annotation == serial.annotation
     assert pooled.best_c == serial.best_c
+    assert format_certificate(pooled.certificate) == format_certificate(serial.certificate)
+
+
+def test_search_best_independent_of_workers_across_batches():
+    # 55 annotations: two batches, each bisected in lockstep on its own
+    assert len(list(enumerate_annotations(7, TS_MODE))) > search._BATCH
+    serial = search_best(7, F(1), tol=F(1, 10**4))
+    pooled = search_best(7, F(1), tol=F(1, 10**4), workers=2)
+    assert (pooled.annotation, pooled.best_c) == (serial.annotation, serial.best_c)
     assert format_certificate(pooled.certificate) == format_certificate(serial.certificate)
 
 
@@ -338,9 +427,12 @@ def _load_perfbench_tracing():
 
 def test_perfbench_tracer_binds_search():
     # perfbench/tracing.py wraps these functions by attribute name; a missing
-    # one breaks the traced benchmark with AttributeError
+    # one breaks the traced benchmark with AttributeError.  It counts one
+    # decision per feasible span, and batches solve many in one linprog.
     tracer = _load_perfbench_tracing().Tracer()
     with tracer.installed():
-        optimality_scan(F(1), F(7, 5), 3)
-    names = {span[0] for span in tracer.spans}
-    assert {"feasible", "linprog", "apply_step", "verify_proof"} <= names
+        report = optimality_scan(F(1), F(7, 5), 5)
+    names = [span[0] for span in tracer.spans]
+    assert {"feasible", "linprog", "apply_step", "verify_proof"} <= set(names)
+    assert names.count("feasible") == report.total
+    assert names.count("linprog") < names.count("feasible")
