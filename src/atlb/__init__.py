@@ -85,6 +85,7 @@ from .search import (
     good_proof_contradicts,
     good_proof_limit,
     good_proof_params,
+    grover_certificate,
     optimality_scan,
     search_best,
 )

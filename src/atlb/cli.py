@@ -22,6 +22,7 @@ from .search import (
     bpts_grover_proof,
     bpts_proof,
     good_proof,
+    grover_certificate,
     optimality_scan,
     search_best,
 )
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_rational, required=True)
     p.add_argument("--mode", choices=[TS_MODE, BPTS_MODE], default=TS_MODE)
     p.add_argument("--max-len", type=_positive_int, default=None)
-    p.add_argument("--grover", action="store_true", help="quantum slowdown for '0' (ts mode only)")
+    p.add_argument("--grover", action="store_true", help="ebqp: needs --mode ts, --alpha 2/3")
     p.add_argument("--tol", type=_rational, default=None)
     p.add_argument("--workers", type=_positive_int, default=None)
     p.add_argument("--out", help="write the best certificate here")
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_rational, required=True)
     p.add_argument("--max-len", type=_positive_int, default=None)
     p.add_argument("--mode", choices=[TS_MODE, BPTS_MODE], default=TS_MODE)
-    p.add_argument("--grover", action="store_true")
+    p.add_argument("--grover", action="store_true", help="ebqp: needs --mode ts, --alpha 2/3")
     p.add_argument("--workers", type=_positive_int, default=None)
 
     p = sub.add_parser("grover", help="quantum search success probabilities")
@@ -139,11 +140,7 @@ def _apply_config(args: argparse.Namespace):
 
 
 def _cmd_verify(args) -> int:
-    try:
-        text = Path(args.file).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    text = Path(args.file).read_text()
     try:
         cert = parse_certificate(text)
     except CertificateError as exc:
@@ -168,10 +165,17 @@ def _cmd_verify(args) -> int:
     return EXIT_NO_CONTRADICTION
 
 
+def _check_grover(args):
+    # a Grover proof is the alpha = 2/3 ts proof with its slowdowns named grover
+    if args.grover and (args.mode != TS_MODE or args.alpha != Fraction(2, 3)):
+        raise ValueError("--grover is the alpha = 2/3 model: it needs --mode ts and --alpha 2/3")
+
+
 def _cmd_search(args) -> int:
+    _check_grover(args)
     max_len = args.max_len if args.max_len is not None else 8
     tol = args.tol if args.tol is not None else Fraction(1, 10**6)
-    result = search_best(max_len, args.alpha, args.mode, tol, args.grover, args.workers)
+    result = search_best(max_len, args.alpha, args.mode, tol, workers=args.workers)
     if result is None:
         print("no feasible annotation found")
         return EXIT_INVALID
@@ -180,7 +184,8 @@ def _cmd_search(args) -> int:
         f"annotation={result.annotation}"
     )
     if args.out and result.certificate is not None:
-        Path(args.out).write_text(format_certificate(result.certificate))
+        cert = grover_certificate(result.certificate) if args.grover else result.certificate
+        Path(args.out).write_text(format_certificate(cert))
         print(f"certificate written to {args.out}")
     return EXIT_OK
 
@@ -216,8 +221,9 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_optimality(args) -> int:
+    _check_grover(args)
     max_len = args.max_len if args.max_len is not None else 8
-    report = optimality_scan(args.alpha, args.c, max_len, args.mode, args.grover, args.workers)
+    report = optimality_scan(args.alpha, args.c, max_len, args.mode, workers=args.workers)
     for entry in report.feasible_entries:
         margin = "?" if entry.margin is None else format_rational(entry.margin)
         replay = "replayed" if entry.replay_ok else "replay failed"
@@ -263,12 +269,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
+    except (OSError, UnicodeDecodeError, RuntimeError) as exc:  # unreadable input, unwritable out
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 if __name__ == "__main__":

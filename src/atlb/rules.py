@@ -113,15 +113,9 @@ def slowdown_generic(
 def grover_collapse(c0: AltClass, cc: Fraction) -> AltClass:
     """Grover slowdown (deterministic verifier): remove the last quantifier via
     an internal speedup with x = 2d/3 and quantum search over the appended
-    guesses.  d' = cc * max(a_k, b_k, b_{k-1}, 1, 2d/3)."""
-    cc = Fraction(cc)
-    _require(len(c0.blocks) >= 1, "grover collapse needs at least one quantifier")
-    _require(c0.verifier == DET_TS, "grover collapse needs a deterministic verifier")
-    _require(cc > 1, f"parameter range c > 1 fails: c={cc}")
-    last = c0.blocks[-1]
-    b_prev = c0.blocks[-2].b if len(c0.blocks) >= 2 else Fraction(1)
-    d_new = cc * max(last.a, last.b, b_prev, Fraction(1), Fraction(2, 3) * c0.d)
-    return AltClass(c0.blocks[:-1], DET_TS, d_new)
+    guesses.  d' = cc * max(a_k, b_k, b_{k-1}, 1, 2d/3), which is the generic
+    slowdown at alpha = 2/3."""
+    return slowdown_generic(c0, Fraction(2, 3), cc)
 
 
 def grover_round(c0: AltClass, cc: Fraction) -> AltClass:

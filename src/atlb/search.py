@@ -24,7 +24,9 @@ search_best replays only the winner's witness.
 
 The named constructors (good_proof, bpts_proof) are annotation certificates
 of fixed annotations with geometric speedup parameters; every certificate is
-assembled by _run_steps, and every bisection runs in _bisect.
+assembled by _run_steps, and every bisection runs in _bisect.  There is one
+slowdown model: a ts-mode Grover proof is an alpha = 2/3 proof with its
+slowdowns named grover (grover_certificate).
 """
 
 from __future__ import annotations
@@ -158,11 +160,10 @@ class _EvalAlgebra:
         self.precondition(Fraction(1) - d)
 
 
-def _walk_annotation(a: str, alpha: Fraction, cc: Fraction, mode: str, use_grover: bool, alg):
+def _walk_annotation(a: str, alpha: Fraction, cc: Fraction, mode: str, alg):
     """Run the homogeneous rule semantics of the annotation over an algebra."""
     ts = mode == TS_MODE
     ver_bp = not ts
-    two_thirds = Fraction(2, 3)
     zero = alg.const(0)
     blocks: list[tuple] = []  # (a value, b value); constant-1 floors are zero
     d = alg.const(1)
@@ -195,10 +196,7 @@ def _walk_annotation(a: str, alpha: Fraction, cc: Fraction, mode: str, use_grove
         elif sym == "0":
             a0, b0 = blocks.pop()
             b_prev = blocks[-1][1] if blocks else zero
-            if use_grover and ts:
-                lead = alg.scale(cc * two_thirds, d)
-            else:
-                lead = alg.scale(cc * alpha, d)
+            lead = alg.scale(cc * alpha, d)  # a grover collapse is this lead at alpha = 2/3
             d = alg.max_of([lead, alg.scale(cc, b0), alg.scale(cc, a0), alg.scale(cc, b_prev)])
             ver_bp = not ts
         else:  # '2' squiggle
@@ -210,15 +208,15 @@ def _walk_annotation(a: str, alpha: Fraction, cc: Fraction, mode: str, use_grove
             # the scans also enumerate the annotation without this '2', and
             # it is at least as good.  Its exact proof is the same chain of
             # classes.  In its LP the d entering here comes from a slowdown
-            # (after a '1' a_k = 0 and the guard cannot hold; after a '2' d
-            # is already >= c*b_k), so it is a max variable bounded only from
-            # below: it may take the raised value, and every later row
-            # carries over unchanged.  The same holds where the guard fails:
-            # the rule is a no-op, and these rows are infeasible.  Second,
-            # max_of makes a0 an upper bound, not the tight max, and the
-            # guard is the one row a larger a0 helps.  An optimum that uses
-            # this fails the tight witness check and can fail replay
-            # (10102100 at c = 8/5).
+            # (after a '1' a_k = 0, the guard cannot hold and _lp_of builds no
+            # LP; after a '2' d is already >= c*b_k), so it is a max variable
+            # bounded only from below: it may take the raised value, and
+            # every later row carries over unchanged.  The same holds where
+            # the guard fails: the rule is a no-op, and these rows are
+            # infeasible.  Second, max_of makes a0 an upper bound, not the
+            # tight max, and the guard is the one row a larger a0 helps.  An
+            # optimum that uses this fails the tight witness check and can
+            # fail replay (10102100 at c = 8/5).
             a0, b0 = blocks[-1]
             ratio = alpha * cc / (alpha * cc - 1)
             alg.precondition(alg.sub(alg.scale(ratio, a0), d))
@@ -226,16 +224,16 @@ def _walk_annotation(a: str, alpha: Fraction, cc: Fraction, mode: str, use_grove
     alg.final(d)
 
 
-def _build_lp(a, alpha, cc, mode, use_grover) -> _BuildAlgebra:
+def _build_lp(a, alpha, cc, mode) -> _BuildAlgebra:
     alg = _BuildAlgebra()
-    _walk_annotation(a, alpha, cc, mode, use_grover, alg)
+    _walk_annotation(a, alpha, cc, mode, alg)
     return alg
 
 
-def _witness_margin(a, alpha, cc, mode, use_grover, xs) -> Fraction:
+def _witness_margin(a, alpha, cc, mode, xs) -> Fraction:
     """Exact margin of the witness under tight semantics (may be <= 0)."""
     alg = _EvalAlgebra(xs)
-    _walk_annotation(a, alpha, cc, mode, use_grover, alg)
+    _walk_annotation(a, alpha, cc, mode, alg)
     return alg.margin
 
 
@@ -400,13 +398,7 @@ class Feasibility:
 
 
 def annotation_certificate(
-    a: str,
-    alpha: Fraction,
-    cc: Fraction,
-    mode: str,
-    use_grover: bool,
-    xs: list[Fraction],
-    d0: Fraction,
+    a: str, alpha: Fraction, cc: Fraction, mode: str, xs: list[Fraction], d0: Fraction
 ) -> ProofCertificate:
     """Apply the annotation's rules at concrete scale d0 with the given
     speedup parameters (one per '1').  The height trace names each speedup:
@@ -420,7 +412,7 @@ def annotation_certificate(
             steps.append(RuleStep(name, xs[j]))
             j += 1
         elif sym == "0":
-            steps.append(RuleStep("grover" if use_grover and mode == TS_MODE else "slowdown"))
+            steps.append(RuleStep("slowdown"))
         else:
             steps.append(RuleStep("squiggle"))
         h, ver = _step_height(h, ver, sym, mode)
@@ -438,7 +430,17 @@ def _run_steps(alpha, cc, mode, d0, steps) -> ProofCertificate:
     return ProofCertificate(alpha, cc, mode, assumption, classes, steps)
 
 
-def _replay(a, alpha, cc, mode, use_grover, xs, margin):
+def grover_certificate(cert: ProofCertificate) -> ProofCertificate:
+    """The alpha = 2/3 ts certificate with each slowdown applied as grover:
+    the same classes (a grover collapse is the slowdown at alpha = 2/3),
+    under assumption ebqp."""
+    if cert.mode != TS_MODE or cert.alpha != Fraction(2, 3):
+        raise ValueError(f"grover needs mode ts, alpha 2/3: mode={cert.mode}, alpha={cert.alpha}")
+    steps = [RuleStep("grover") if s.rule == "slowdown" else s for s in cert.steps]
+    return _run_steps(cert.alpha, cert.c, cert.mode, cert.classes[0].d, steps)
+
+
+def _replay(a, alpha, cc, mode, xs, margin):
     """Replay the witness through the exact rules at one concrete scale d0.
 
     The rules are homogeneous above their constant-1 floors: scaled by d0, a
@@ -451,7 +453,7 @@ def _replay(a, alpha, cc, mode, use_grover, xs, margin):
         base = max(base, int(2 / (alpha * margin)) + 1)
     d0 = Fraction(base)
     try:
-        cert = annotation_certificate(a, alpha, cc, mode, use_grover, [x * d0 for x in xs], d0)
+        cert = annotation_certificate(a, alpha, cc, mode, [x * d0 for x in xs], d0)
     except (RuleError, ValueError):
         return False, None
     report = verify_proof(cert)
@@ -460,44 +462,37 @@ def _replay(a, alpha, cc, mode, use_grover, xs, margin):
     return False, None
 
 
-def _check_params(alpha, mode=TS_MODE, use_grover=False, cc=None, tol=None):
+def _check_params(alpha, cc=None, tol=None):
     """Raise ValueError for what no decision accepts: alpha outside (0, 1],
-    c <= 1, grover outside ts mode, or tol <= 0 (exact bisection would never
-    end).  Scans and searches check once, before enumerating."""
+    c <= 1, or tol <= 0 (exact bisection would never end).  Scans and
+    searches check once, before enumerating."""
     if not 0 < alpha <= 1 or (cc is not None and cc <= 1):
         got = f"alpha={alpha}" + ("" if cc is None else f", c={cc}")
         raise ValueError(f"parameter range 0 < alpha <= 1 < c fails: {got}")
-    if use_grover and mode != TS_MODE:
-        raise ValueError("grover collapse search applies in ts mode only")
     if tol is not None and tol <= 0:
         raise ValueError(f"tol must be > 0: tol={tol}")
 
 
-def _lp_of(a, alpha, cc, mode, use_grover) -> _BuildAlgebra | None:
-    """The annotation's LP, or None when a squiggle's precondition
-    1/alpha < c < (1+alpha)/alpha fails whatever the parameters."""
-    if "2" in a and not (alpha * cc > 1 and cc < (1 + alpha) / alpha):
+def _lp_of(a, alpha, cc, mode) -> _BuildAlgebra | None:
+    """The annotation's LP, or None when its margin is <= 0 whatever the
+    parameters: a squiggle's precondition 1/alpha < c < (1+alpha)/alpha
+    fails, or a squiggle follows a speedup ('12'), where the block's a is 0:
+    the guard row gives margin <= -d, the speedup's row d >= margin."""
+    if "12" in a or ("2" in a and not (alpha * cc > 1 and cc < (1 + alpha) / alpha)):
         return None
-    return _build_lp(a, alpha, cc, mode, use_grover)
+    return _build_lp(a, alpha, cc, mode)
 
 
 def _solve_batch(jobs) -> list[tuple]:
-    """(LP or None, float solution) of each (a, alpha, c, mode, use_grover)
-    job, from one float solve of all the LPs."""
+    """(LP or None, float solution) of each (a, alpha, c, mode) job, from
+    one float solve of all the LPs."""
     lps = [_lp_of(*job) for job in jobs]
     sols = iter(_solve_floats([lp for lp in lps if lp is not None]))
     return [(lp, None if lp is None else next(sols)) for lp in lps]
 
 
 def feasible(
-    a: str,
-    alpha: Fraction,
-    cc: Fraction,
-    mode: str = TS_MODE,
-    use_grover: bool = False,
-    replay: bool = True,
-    *,
-    _solved: tuple | None = None,
+    a: str, alpha: Fraction, cc: Fraction, mode: str = TS_MODE, *, replay: bool = True, _solved=None
 ) -> Feasibility:
     """Decide the linear relaxation for (annotation, alpha, c) and replay any
     positive answer through the exact rules (skipped when replay=False).
@@ -508,15 +503,15 @@ def feasible(
     report = validate_annotation(a, mode)
     if not (report.valid and report.complete):
         raise ValueError(f"annotation {a!r} is not a valid complete {mode} annotation")
-    _check_params(alpha, mode, use_grover, cc=cc)
+    _check_params(alpha, cc=cc)
 
     def result(ok, margin, xs, method):
         replay_ok, cert = (False, None)
         if ok and replay:
-            replay_ok, cert = _replay(a, alpha, cc, mode, use_grover, xs, margin)
+            replay_ok, cert = _replay(a, alpha, cc, mode, xs, margin)
         return Feasibility(a, alpha, cc, mode, ok, margin, xs, replay_ok, cert, method)
 
-    lp, sol = _solved or _solve_batch([(a, alpha, cc, mode, use_grover)])[0]
+    lp, sol = _solved or _solve_batch([(a, alpha, cc, mode)])[0]
     if lp is None:
         return result(False, None, [], "precondition")
 
@@ -525,7 +520,7 @@ def feasible(
         mval = x[_MARGIN]
         if mval > _FLOAT_TOL:
             xs = [Fraction(float(x[i])).limit_denominator(10**12) for i in lp.xvars]
-            margin = _witness_margin(a, alpha, cc, mode, use_grover, xs)
+            margin = _witness_margin(a, alpha, cc, mode, xs)
             if margin is not None and margin > 0:
                 return result(True, margin, xs, "float+primal")
         elif mval < -_FLOAT_TOL:
@@ -547,11 +542,11 @@ def _decide_batch(jobs, replay):
 
 def _map_batches(fn, items, workers, *args) -> list:
     """fn(batch, *args) of each run of _BATCH consecutive items, results
-    joined in order; in a process pool when workers > 1.  The pool maps whole
-    batches, so which items share a float solve, and hence every answer,
-    depends on the items only."""
+    joined in order; in a process pool when workers > 1 and there are two
+    batches or more.  The pool maps whole batches, so which items share a
+    float solve, and hence every answer, depends on the items only."""
     batches = [items[i : i + _BATCH] for i in range(0, len(items), _BATCH)]
-    if workers and workers > 1:
+    if workers and workers > 1 and len(batches) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -597,7 +592,7 @@ def _bisect(decide, brackets, tol: Fraction) -> list[Fraction]:
     return [(lo + hi) / 2 for lo, hi in brackets]
 
 
-def _bisect_cs(annotations, alpha, tol, mode, use_grover):
+def _bisect_cs(annotations, alpha, tol, mode):
     """(c*, the Feasibility at the last feasible c) of each annotation, or
     (None, None) when it is infeasible near c = 1.  The annotations bisect in
     lockstep, each round one float solve of the open brackets' midpoints;
@@ -608,7 +603,7 @@ def _bisect_cs(annotations, alpha, tol, mode, use_grover):
     best = [None] * len(annotations)
 
     def decide(idx, cs):
-        jobs = [(annotations[i], alpha, c, mode, use_grover) for i, c in zip(idx, cs)]
+        jobs = [(annotations[i], alpha, c, mode) for i, c in zip(idx, cs)]
         fs = _decide_batch(jobs, False)
         for i, f in zip(idx, fs):
             if f.feasible:
@@ -635,17 +630,13 @@ def _bisect_cs(annotations, alpha, tol, mode, use_grover):
 
 
 def best_exponent(
-    a: str,
-    alpha: Fraction,
-    tol: Fraction = Fraction(1, 10**6),
-    mode: str = TS_MODE,
-    use_grover: bool = False,
+    a: str, alpha: Fraction, tol: Fraction = Fraction(1, 10**6), mode: str = TS_MODE
 ) -> Fraction | None:
     """Largest c (within tol) at which the annotation is feasible, by
     bisection; None if it is infeasible even near c = 1."""
     alpha, tol = Fraction(alpha), Fraction(tol)
-    _check_params(alpha, mode, use_grover, tol=tol)
-    return _bisect_cs([a], alpha, tol, mode, use_grover)[0][0]
+    _check_params(alpha, tol=tol)
+    return _bisect_cs([a], alpha, tol, mode)[0][0]
 
 
 @dataclass
@@ -660,7 +651,7 @@ def search_best(
     alpha: Fraction,
     mode: str = TS_MODE,
     tol: Fraction = Fraction(1, 10**6),
-    use_grover: bool = False,
+    *,
     workers: int | None = None,
 ) -> SearchResult | None:
     """Maximize best_exponent over all annotations up to max_len, bisecting
@@ -670,9 +661,9 @@ def search_best(
     Ties break deterministically toward the shortest, then lexicographically
     smallest annotation (the enumeration order)."""
     alpha, tol = Fraction(alpha), Fraction(tol)
-    _check_params(alpha, mode, use_grover, tol=tol)
+    _check_params(alpha, tol=tol)
     annotations = list(enumerate_annotations(max_len, mode))
-    results = _map_batches(_bisect_cs, annotations, workers, alpha, tol, mode, use_grover)
+    results = _map_batches(_bisect_cs, annotations, workers, alpha, tol, mode)
     best = None
     for a, (c_star, f) in zip(annotations, results):
         if c_star is not None and (best is None or c_star > best[0]):
@@ -680,7 +671,7 @@ def search_best(
     if best is None:
         return None
     c_star, a, f = best
-    _, cert = _replay(a, alpha, f.c, mode, use_grover, f.witness, f.margin)
+    _, cert = _replay(a, alpha, f.c, mode, f.witness, f.margin)
     return SearchResult(c_star, a, cert)
 
 
@@ -737,7 +728,7 @@ def good_proof(
     _, _, min_d = _geometric(k, cc, alpha * cc - 1, alpha * cc * cc)
     d = max(Fraction(d) if d is not None else Fraction(100), min_d)
     xs = good_proof_params(alpha, cc, k, d).x
-    return annotation_certificate("1" * k + "0" + "20" * k, alpha, cc, TS_MODE, False, xs, d)
+    return annotation_certificate("1" * k + "0" + "20" * k, alpha, cc, TS_MODE, xs, d)
 
 
 def good_proof_contradicts(alpha: Fraction, cc: Fraction, k: int) -> bool:
@@ -802,7 +793,7 @@ def bpts_proof(k: int, cc: Fraction, d: Fraction | None = None) -> ProofCertific
     rho, scale, min_d = _geometric(k, cc, 1, cc**3)
     d = max(Fraction(d) if d is not None else Fraction(100), min_d)
     xs = [d / scale * rho**i for i in range(k)]
-    return annotation_certificate("1" * k + "0" * (k + 2), Fraction(1), cc, BPTS_MODE, False, xs, d)
+    return annotation_certificate("1" * k + "0" * (k + 2), Fraction(1), cc, BPTS_MODE, xs, d)
 
 
 def bpts_grover_proof(cc: Fraction, d: Fraction | None = None) -> ProofCertificate:
@@ -851,7 +842,6 @@ class ScanReport:
     c: Fraction
     mode: str
     max_len: int
-    use_grover: bool
     entries: list[ScanEntry] = field(default_factory=list)
 
     @property
@@ -875,15 +865,15 @@ def optimality_scan(
     cc: Fraction,
     max_len: int,
     mode: str = TS_MODE,
-    use_grover: bool = False,
+    *,
     workers: int | None = None,
 ) -> ScanReport:
     """Run the feasibility relaxation on every valid complete annotation up to
     max_len, in batches (see _map_batches); deterministic order."""
     alpha, cc = Fraction(alpha), Fraction(cc)
-    _check_params(alpha, mode, use_grover, cc=cc)
-    report = ScanReport(alpha, cc, mode, max_len, use_grover)
-    jobs = [(a, alpha, cc, mode, use_grover) for a in enumerate_annotations(max_len, mode)]
+    _check_params(alpha, cc=cc)
+    report = ScanReport(alpha, cc, mode, max_len)
+    jobs = [(a, alpha, cc, mode) for a in enumerate_annotations(max_len, mode)]
     for f in _map_batches(_decide_batch, jobs, workers, True):
         report.entries.append(ScanEntry(f.annotation, f.feasible, f.margin, f.replay_ok))
     return report

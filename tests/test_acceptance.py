@@ -26,6 +26,7 @@ from atlb.search import (
     bpts_proof,
     feasible,
     good_proof_best_c,
+    grover_certificate,
     optimality_scan,
     search_best,
 )
@@ -286,4 +287,30 @@ def test_criterion_9_soundness_suite():
         ok,
         f"{applications} rule applications sound={sound}; "
         f"{witnesses} positive-margin witnesses all replayed={replays_ok}, {elapsed:.0f}s",
+    )
+
+
+def test_criterion_10_qma_superquadratic():
+    # The QMA headline c < (3+sqrt3)/2 ~ 2.366 is the alpha = 2/3 case: a
+    # grover collapse is the slowdown at alpha = 2/3, so the alpha = 2/3
+    # proof of 1^3 0 (20)^3 with its slowdowns named grover is an ebqp proof,
+    # here at c = 23/10 > 2.  No annotation of length <= 10 reaches
+    # 237/100 > (3+sqrt3)/2.
+    t0 = time.time()
+    cc, c_above = F(23, 10), F(237, 100)
+    f = feasible("1110202020", F(2, 3), cc)
+    cert = grover_certificate(f.certificate) if f.certificate is not None else None
+    rep = verify_proof(cert) if cert is not None else None
+    proved = rep is not None and rep.valid and rep.contradiction and cert.assumption == "ebqp"
+    above = optimality_scan(F(2, 3), c_above, 10)
+    n_above = len(above.feasible_entries)
+    limit = (3 + math.sqrt(3)) / 2
+    elapsed = time.time() - t0
+    ok = proved and cc > 2 and n_above == 0 and c_above > limit and elapsed < 30.0
+    report(
+        10,
+        ok,
+        f"1110202020 at alpha=2/3, c={cc}: margin = {_exact(f.margin)}, "
+        f"ebqp certificate contradicts={proved}; length <= 10, {above.total} annotations, "
+        f"{_scan_detail(above)} (want 0 above (3+sqrt3)/2 = {limit:.6f}), {elapsed:.1f}s",
     )

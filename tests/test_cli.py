@@ -115,6 +115,18 @@ class TestUsageErrors:
         assert run(args) == EXIT_USAGE
         assert "grover" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["search", "--alpha", "1", "--max-len", "5", "--grover"],
+            ["optimality", "--alpha", "1", "--c", "3/2", "--grover"],
+        ],
+    )
+    def test_grover_outside_alpha_two_thirds_exit_two(self, args, capsys):
+        # --grover is the alpha = 2/3 model; any other alpha is a usage error
+        assert run(args) == EXIT_USAGE
+        assert "grover" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["ts", "bpts"])
     def test_search_alpha_zero_any_mode_exit_two(self, mode, capsys):
         assert run(["search", "--alpha", "0", "--max-len", "3", "--mode", mode]) == EXIT_USAGE
@@ -155,6 +167,39 @@ class TestSearchAndScan:
         assert "length <= 3" in capsys.readouterr().out
         assert run(["--config", str(cfg), "optimality", "--alpha", "1", "--c", "1.8"]) == EXIT_OK
         assert "length <= 7" in capsys.readouterr().out
+
+    def test_grover_search_writes_ebqp_certificate(self, tmp_path, capsys):
+        out = tmp_path / "grover.txt"
+        assert run(["search", "--alpha", "2/3", "--grover", "--max-len", "6", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["verify", str(out)]) == EXIT_OK
+        assert "assumption=ebqp" in capsys.readouterr().out
+
+    def test_grover_scan_is_the_alpha_two_thirds_scan(self, capsys):
+        args = ["optimality", "--alpha", "2/3", "--c", "2", "--max-len", "7"]
+        assert run(args) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert run([*args, "--grover"]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+        assert "feasible: 1102020" in plain
+
+
+class TestUnwritableOut:
+    # an --out in a missing directory is a runtime failure, not a traceback
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["search", "--alpha", "1", "--max-len", "3"],
+            ["good-proof", "--alpha", "1", "--c", "1.5", "--k", "2"],
+            ["curve", "--min", "1/2", "--max", "1", "--steps", "3"],
+        ],
+        ids=["search", "good-proof", "curve"],
+    )
+    def test_exit_one(self, args, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.txt"
+        assert run([*args, "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing" in err
 
 
 class TestProofEmitters:

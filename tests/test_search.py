@@ -1,5 +1,6 @@
 """Linear relaxation feasibility, bisection, proof constructors, scans."""
 
+import concurrent.futures
 import importlib.util
 import math
 from fractions import Fraction
@@ -28,6 +29,7 @@ from atlb.search import (
     good_proof_contradicts,
     good_proof_limit,
     good_proof_params,
+    grover_certificate,
     optimality_scan,
     search_best,
 )
@@ -64,6 +66,19 @@ class TestFeasible:
         assert not f.feasible
         assert f.method == "precondition"
 
+    @pytest.mark.parametrize("mode", [TS_MODE, BPTS_MODE])
+    def test_squiggle_after_speedup_decided_without_lp(self, mode):
+        # after a '1' the last block's a is 0: the guard row gives
+        # margin <= -d and the speedup's row d >= margin, so no LP is needed
+        anns = [a for a in enumerate_annotations(7, mode) if "12" in a]
+        assert len(anns) == {TS_MODE: 30, BPTS_MODE: 5}[mode]
+        for a in anns:
+            for alpha, cc in ((F(1), F(3, 2)), (F(2, 3), F(2))):
+                f = feasible(a, alpha, cc, mode)
+                assert (f.feasible, f.method, f.margin) == (False, "precondition", None), a
+                margin, _ = _solve_exact(_build_lp(a, alpha, cc, mode))
+                assert margin is None or margin <= 0, (a, alpha, cc)
+
     def test_replay_skippable(self):
         f = feasible("100", F(1), F(7, 5), replay=False)
         assert f.feasible and not f.replay_ok and f.certificate is None
@@ -77,7 +92,7 @@ class TestFeasible:
     def test_exact_simplex_agrees_with_float_path(self):
         for a in ("100", "1020", "1200", "10100"):
             for cc in (F(13, 10), F(7, 5), F(3, 2), F(8, 5)):
-                lp = _build_lp(a, F(1), cc, TS_MODE, False)
+                lp = _build_lp(a, F(1), cc, TS_MODE)
                 margin, _ = _solve_exact(lp)
                 got = feasible(a, F(1), cc, replay=False).feasible
                 want = margin is not None and margin > 0
@@ -88,7 +103,7 @@ class TestFeasible:
         # decides; its margin is reported as is
         f = feasible("10102100", F(1), F(8, 5))
         assert f.feasible and f.method == "exact"
-        lp = _build_lp("10102100", F(1), F(8, 5), TS_MODE, False)
+        lp = _build_lp("10102100", F(1), F(8, 5), TS_MODE)
         assert f.margin == F(881, 9425) == _solve_exact(lp)[0]
         assert (f.certificate is None) == (not f.replay_ok)
 
@@ -108,7 +123,7 @@ class TestFeasible:
                 super().final(d)
 
         walk = Final(f.witness)
-        _walk_annotation(a, F(1), cc, TS_MODE, False, walk)
+        _walk_annotation(a, F(1), cc, TS_MODE, walk)
         classes = f.certificate.classes
         assert classes[-1].d == classes[0].d * walk.d
 
@@ -307,7 +322,7 @@ class TestNamedConstructorsAreAnnotations:
         cert = good_proof(alpha, cc, k)
         d = cert.classes[0].d
         xs = good_proof_params(alpha, cc, k, d).x
-        assert cert == annotation_certificate("1" * k + "0" + "20" * k, alpha, cc, TS_MODE, False, xs, d)
+        assert cert == annotation_certificate("1" * k + "0" + "20" * k, alpha, cc, TS_MODE, xs, d)
 
     @pytest.mark.parametrize("k,cc", [(1, F(7, 5)), (3, F(73, 50)), (10, F(3, 2))])
     def test_bpts_proof(self, k, cc):
@@ -315,7 +330,26 @@ class TestNamedConstructorsAreAnnotations:
         xs = [s.x for s in cert.steps if s.x is not None]
         assert len(xs) == k
         a = "1" * k + "0" * (k + 2)
-        assert cert == annotation_certificate(a, F(1), cc, BPTS_MODE, False, xs, cert.classes[0].d)
+        assert cert == annotation_certificate(a, F(1), cc, BPTS_MODE, xs, cert.classes[0].d)
+
+
+class TestGroverCertificate:
+    def test_alpha_two_thirds_proof_with_grover_slowdowns(self):
+        f = feasible("1102020", F(2, 3), F(2))
+        cert = grover_certificate(f.certificate)
+        assert cert.classes == f.certificate.classes
+        assert [s.rule for s in cert.steps] == [
+            "grover" if s.rule == "slowdown" else s.rule for s in f.certificate.steps
+        ]
+        assert cert.assumption == "ebqp" and f.certificate.assumption == "ntime"
+        rep = verify_proof(cert)
+        assert rep.valid and rep.contradiction
+
+    def test_rejects_other_alpha_and_bpts(self):
+        with pytest.raises(ValueError, match="grover"):
+            grover_certificate(feasible("100", F(1), F(7, 5)).certificate)
+        with pytest.raises(ValueError, match="grover"):
+            grover_certificate(bpts_proof(3, F(7, 5)))
 
 
 class TestOptimalityScan:
@@ -380,15 +414,15 @@ class TestBatchedDecisions:
                 assert f.margin is None or f.margin <= 0
             elif f.method == "float+primal":
                 assert f.margin > 0
-                assert f.margin == _witness_margin(f.annotation, alpha, cc, TS_MODE, False, f.witness)
+                assert f.margin == _witness_margin(f.annotation, alpha, cc, TS_MODE, f.witness)
             else:
                 assert f.method == "exact" and f.margin > 0
-                lp = _build_lp(f.annotation, alpha, cc, TS_MODE, False)
+                lp = _build_lp(f.annotation, alpha, cc, TS_MODE)
                 assert f.margin == _solve_exact(lp)[0]
 
     def test_failed_float_solve_falls_to_exact_simplex(self, monkeypatch):
         # a batch whose solve does not end optimal sends every block to the
-        # exact simplex
+        # exact simplex; annotations with a '12' have no LP, so no block
         want = optimality_scan(F(1), F(3, 2), 6)
         monkeypatch.setattr(search, "linprog", lambda *args, **kwargs: OptimizeResult(status=4))
         decided = _record_decisions(monkeypatch)
@@ -397,7 +431,8 @@ class TestBatchedDecisions:
             (e.annotation, e.feasible, e.replay_ok) for e in want.entries
         ]
         assert len(decided) == got.total
-        assert {f.method for f in decided} == {"exact"}
+        assert {f.method for f in decided if "12" not in f.annotation} == {"exact"}
+        assert {f.method for f in decided if "12" in f.annotation} == {"precondition"}
 
 
 def test_search_best_independent_of_workers():
@@ -415,6 +450,22 @@ def test_search_best_independent_of_workers_across_batches():
     pooled = search_best(7, F(1), tol=F(1, 10**4), workers=2)
     assert (pooled.annotation, pooled.best_c) == (serial.annotation, serial.best_c)
     assert format_certificate(pooled.certificate) == format_certificate(serial.certificate)
+
+
+def test_single_batch_runs_without_pool(monkeypatch):
+    # at most _BATCH items are one batch: workers=2 must not start a pool
+    serial_search = search_best(5, F(1))
+    serial_scan = optimality_scan(F(1), F(3, 2), 6)
+    assert serial_scan.total <= search._BATCH
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started for a single batch")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    pooled = search_best(5, F(1), workers=2)
+    assert (pooled.annotation, pooled.best_c) == (serial_search.annotation, serial_search.best_c)
+    assert format_certificate(pooled.certificate) == format_certificate(serial_search.certificate)
+    assert optimality_scan(F(1), F(3, 2), 6, workers=2).entries == serial_scan.entries
 
 
 def _load_perfbench_tracing():
@@ -436,3 +487,11 @@ def test_perfbench_tracer_binds_search():
     assert {"feasible", "linprog", "apply_step", "verify_proof"} <= set(names)
     assert names.count("feasible") == report.total
     assert names.count("linprog") < names.count("feasible")
+    # the tracer reads replay from feasible's keyword arguments: the one known
+    # replay failure (10102100) must count, and '12' decisions show as
+    # precondition
+    tracer = _load_perfbench_tracing().Tracer()
+    with tracer.installed():
+        optimality_scan(F(1), F(1517, 1000), 8)
+    assert tracer.replay_failed == 1
+    assert "precondition" in tracer.methods
