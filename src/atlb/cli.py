@@ -95,22 +95,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("good-proof", help="emit the 1^k 0 (20)^k certificate")
     p.add_argument("--alpha", type=_rational, required=True)
     p.add_argument("--c", type=_rational, required=True)
-    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--k", type=_positive_int, default=None)
     p.add_argument("--d", type=_rational, default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", default=None)
 
     p = sub.add_parser("bpts-proof", help="emit a randomized-verifier certificate")
     p.add_argument("--c", type=_rational, required=True)
     p.add_argument("--k", type=_positive_int, default=None, help="height (omit with --grover)")
     p.add_argument("--d", type=_rational, default=None)
     p.add_argument("--grover", action="store_true", help="repeated quantum contraction instead")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", default=None)
 
     p = sub.add_parser("curve", help="CSV of the limit exponent against alpha")
     p.add_argument("--min", type=_rational, required=True)
     p.add_argument("--max", type=_rational, required=True)
     p.add_argument("--steps", type=_positive_int, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", default=None)
 
     p = sub.add_parser("optimality", help="feasibility scan of all annotations up to a length")
     p.add_argument("--alpha", type=_rational, required=True)
@@ -190,6 +190,13 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
+def _require(args, *names):
+    # flags a config key can supply are optional to argparse, checked here
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"--{name} is required (as a flag or a config key)")
+
+
 def _write_certificate(cert, out: str):
     Path(out).write_text(format_certificate(cert))
     report = verify_proof(cert)
@@ -198,11 +205,13 @@ def _write_certificate(cert, out: str):
 
 
 def _cmd_good_proof(args) -> int:
+    _require(args, "k", "out")
     _write_certificate(good_proof(args.alpha, args.c, args.k, args.d), args.out)
     return EXIT_OK
 
 
 def _cmd_bpts_proof(args) -> int:
+    _require(args, "out")
     if args.grover:
         cert = bpts_grover_proof(args.c, args.d)
     else:
@@ -214,6 +223,7 @@ def _cmd_bpts_proof(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    _require(args, "out")
     csv = emit_curve(args.min, args.max, args.steps)
     Path(args.out).write_text(csv)
     print(f"{args.steps} rows written to {args.out}")

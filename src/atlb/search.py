@@ -9,12 +9,12 @@ annotation is feasible iff the maximal margin is positive; a positive
 answer is replayed once through the exact rules at a large concrete d.
 
 The float LP (scipy/HiGHS) only steers: a feasible answer is certified by an
-exact rational witness check, an infeasible one by an exact rational
-weak-duality certificate reconstructed from the float duals; when neither
-certifies, one exact rational simplex solve decides.  The float LPs are solved
-in batches: the LPs of a batch share no variable and no row, so they stack
-into one block-diagonal LP whose objective is the sum of their margins, and
-its optimum and duals split into an optimum and duals of each block.  Scans
+exact rational witness check, an infeasible one by exact weak-duality
+multipliers solved on the float solution's active set (one dual path); when
+neither certifies, one exact rational simplex solve decides.  The float LPs
+are solved in batches: the LPs of a batch share no variable and no row, so
+they stack into one block-diagonal LP whose objective is the sum of their
+margins, and its optimum and duals split into those of each block.  Scans
 and searches cut their annotations into fixed batches; a process pool
 spreads whole batches, so the number of workers changes no answer.
 Bisection over c (best_exponent, search_best) runs the annotations of a batch
@@ -31,6 +31,7 @@ slowdowns named grover (grover_certificate).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -241,33 +242,39 @@ def _witness_margin(a, alpha, cc, mode, xs) -> Fraction:
 
 
 def _solve_rational(a_rows: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Any exact solution of A w = b (free unknowns set to 0), else None."""
-    m = len(a_rows)
+    """Any exact solution of A w = b (free unknowns set to 0), else None.
+
+    Fraction-free Gauss-Jordan: each equation is scaled to integers, and a
+    row is eliminated by integer cross-multiplication, then divided by its
+    content (the gcd of its entries)."""
+    rows = []
+    for row in ([*r, bv] for r, bv in zip(a_rows, b)):
+        den = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (den // v.denominator) for v in row])
+    m = len(rows)
     n = len(a_rows[0]) if m else 0
-    rows = [list(r) + [bv] for r, bv in zip(a_rows, b)]
     piv_cols = []
     r = 0
     for col in range(n):
-        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        piv = next((i for i in range(r, m) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
+        p = rows[r][col]
         for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [v - f * p for v, p in zip(rows[i], rows[r])]
+            if i != r and (f := rows[i][col]):
+                row = [p * v - f * q for v, q in zip(rows[i], rows[r])]
+                g = math.gcd(*row) or 1
+                rows[i] = [v // g for v in row]
         piv_cols.append(col)
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if rows[i][-1] != 0:
-            return None  # inconsistent
+    if any(row[-1] for row in rows[r:]):
+        return None  # inconsistent
     w = [Fraction(0)] * n
-    for i, col in enumerate(piv_cols):
-        w[col] = rows[i][-1]
+    for row, col in zip(rows, piv_cols):
+        w[col] = Fraction(row[-1], row[col])
     return w
 
 
@@ -295,20 +302,12 @@ def _dual_bound(lp: _BuildAlgebra, support: list[int], w: list[Fraction]) -> Fra
 
 
 def _certify_infeasible(lp: _BuildAlgebra, x, duals) -> Fraction | None:
-    """Exact weak-duality upper bound on the margin from the float solution
-    x and row duals; returns it iff <= 0."""
-    w_float = -duals
-    support = [r for r, v in enumerate(w_float) if v > 1e-11]
+    """Exact weak-duality upper bound on the margin, returned iff <= 0.  The
+    multipliers solve the dual equations exactly on the float solution's
+    active set: the rows with a nonzero dual times the tight columns."""
+    support = [r for r, v in enumerate(duals) if v < -1e-11]
     if not support:
         return None
-    # cheap path: rationalize the float multipliers directly
-    for limit in (10**6, 10**12):
-        w = [Fraction(w_float[r]).limit_denominator(limit) for r in support]
-        if all(v >= 0 for v in w):
-            bound = _dual_bound(lp, support, w)
-            if bound is not None:
-                return bound
-    # exact path: recover the multipliers from the tight rows and columns
     tight = [_MARGIN] + [i for i in range(1, lp.nvars) if x[i] > 1e-9]
     a_rows = [[lp.rows[r].get(i, Fraction(0)) for r in support] for i in tight]
     b = [Fraction(-1)] + [Fraction(0)] * (len(tight) - 1)

@@ -136,6 +136,45 @@ class TestUsageErrors:
         assert run(["optimality", "--alpha", "1", "--c", "1", "--max-len", "2"]) == EXIT_USAGE
         assert "c=1" in capsys.readouterr().err
 
+    # k and out are config keys, so argparse cannot require their flags; the
+    # command names the one that neither a flag nor the config supplies
+    @pytest.mark.parametrize(
+        "args, missing",
+        [
+            (["good-proof", "--alpha", "1", "--c", "1.5", "--out", "p.txt"], "--k"),
+            (["good-proof", "--alpha", "1", "--c", "1.5", "--k", "2"], "--out"),
+            (["bpts-proof", "--c", "1.4", "--k", "3"], "--out"),
+            (["curve", "--min", "1/2", "--max", "1", "--steps", "3"], "--out"),
+        ],
+        ids=["good-proof-k", "good-proof-out", "bpts-proof-out", "curve-out"],
+    )
+    def test_missing_flag_named(self, args, missing, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(args) == EXIT_USAGE
+        assert f"usage error: {missing} is required" in capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
+
+
+class TestConfigSuppliesFlags:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["good-proof", "--alpha", "1", "--c", "1.5"],
+            ["bpts-proof", "--c", "1.4"],
+            ["curve", "--min", "1/2", "--max", "1", "--steps", "3"],
+        ],
+        ids=["good-proof", "bpts-proof", "curve"],
+    )
+    def test_k_and_out_from_config(self, args, tmp_path, capsys):
+        out = tmp_path / "p.txt"
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"k=2\nout={out}\n")
+        assert run(["--config", str(cfg), *args]) == EXIT_OK
+        assert f"written to {out}" in capsys.readouterr().out
+        if args[0] != "curve":
+            assert run(["verify", str(out)]) in (EXIT_OK, EXIT_NO_CONTRADICTION)
+            capsys.readouterr()
+
 
 class TestSearchAndScan:
     def test_search_small(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Property-based invariants for classes, rules, and annotations."""
+"""Property-based invariants for classes, rules, annotations and the exact
+linear solver."""
 
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from atlb.kernel import (
     validate_annotation,
 )
 from atlb.rules import slowdown_generic, speedup, speedup_first, squiggle
+from atlb.search import _solve_rational
 
 F = Fraction
 
@@ -133,3 +135,75 @@ class TestAnnotations:
                 disjoint = e1 <= s2 or e2 <= s1
                 nested = (s1 <= s2 and e2 <= e1) or (s2 <= s1 and e1 <= e2)
                 assert disjoint or nested
+
+
+def _gauss_jordan(a_rows, b):
+    """Reference solver: Gauss-Jordan in Fraction arithmetic, pivoting on the
+    first nonzero entry of each column; any solution of A w = b with the free
+    unknowns 0, else None."""
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    rows = [list(r) + [bv] for r, bv in zip(a_rows, b)]
+    piv_cols = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = Fraction(1) / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [v - f * p for v, p in zip(rows[i], rows[r])]
+        piv_cols.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if rows[i][-1] != 0:
+            return None
+    w = [Fraction(0)] * n
+    for i, col in enumerate(piv_cols):
+        w[col] = rows[i][-1]
+    return w
+
+
+nonzero = st.builds(F, st.one_of(st.integers(-20, -1), st.integers(1, 20)), st.integers(1, 12))
+entries = st.one_of(st.just(F(0)), nonzero)
+
+
+@st.composite
+def linear_systems(draw):
+    """A w = b, m x n with m, n in 0..6, some rows and columns zero; b is
+    A times a random w, or random, or the system gains a row that combines
+    the others with its right side shifted (inconsistent)."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    a = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)) if m else ():
+        a[i] = [F(0)] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else ():
+        for row in a:
+            row[j] = F(0)
+    w0 = [draw(entries) for _ in range(n)]
+    b = [sum((x * y for x, y in zip(row, w0)), F(0)) for row in a]
+    kind = draw(st.sampled_from(["consistent", "random", "inconsistent"]))
+    if kind == "random":
+        b = [draw(entries) for _ in range(m)]
+    elif kind == "inconsistent" and m:
+        coef = [draw(entries) for _ in range(m)]
+        a.append([sum((c * row[j] for c, row in zip(coef, a)), F(0)) for j in range(n)])
+        b.append(sum((c * bv for c, bv in zip(coef, b)), F(0)) + draw(nonzero))
+    return a, b
+
+
+class TestSolveRational:
+    @settings(max_examples=300, deadline=None)
+    @given(linear_systems())
+    def test_matches_fraction_gauss_jordan(self, system):
+        a, b = system
+        got = _solve_rational(a, b)
+        assert got == _gauss_jordan(a, b)
+        if got is not None:
+            assert [sum((x * w for x, w in zip(row, got)), F(0)) for row in a] == b

@@ -1,8 +1,11 @@
 """Linear relaxation feasibility, bisection, proof constructors, scans."""
 
 import concurrent.futures
+import copy
 import importlib.util
+import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +16,8 @@ from atlb import search
 from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
 from atlb.rules import format_certificate, verify_proof
 from atlb.search import (
+    _CONST,
+    _MARGIN,
     GoodProofParams,
     _build_lp,
     _EvalAlgebra,
@@ -35,6 +40,18 @@ from atlb.search import (
 )
 
 F = Fraction
+
+
+def _lp_optimum(lp, shift=F(10)):
+    """Exact maximal margin of the LP.  _solve_exact clamps the margin to
+    >= 0, so it is given the LP in margin + shift."""
+    shifted = copy.copy(lp)
+    shifted.rows = [
+        {**row, _CONST: row.get(_CONST, F(0)) - shift * row.get(_MARGIN, F(0))} for row in lp.rows
+    ]
+    margin, _ = _solve_exact(shifted)
+    assert margin is not None and margin > 0
+    return margin - shift
 
 
 class TestFeasible:
@@ -106,6 +123,19 @@ class TestFeasible:
         lp = _build_lp("10102100", F(1), F(8, 5), TS_MODE)
         assert f.margin == F(881, 9425) == _solve_exact(lp)[0]
         assert (f.certificate is None) == (not f.replay_ok)
+
+    def test_dual_margin_is_lp_optimum(self):
+        # the multipliers are solved exactly on the optimal active set, so an
+        # infeasible margin is the LP optimum itself, alone and in a batch
+        cc = F(1517, 1000)
+        scan = {e.annotation: e.margin for e in optimality_scan(F(1), cc, 8).entries}
+        optima = {}
+        for a in ("100100", "10011000", "11000100"):
+            f = feasible(a, F(1), cc)
+            optima[a] = _lp_optimum(_build_lp(a, F(1), cc, TS_MODE))
+            assert f.method == "float+dual", a
+            assert f.margin == scan[a] == optima[a] < 0, a
+        assert optima["100100"] == F(-1295931061521, 4000000000000)
 
     @pytest.mark.parametrize(
         "a, cc",
@@ -468,19 +498,35 @@ def test_single_batch_runs_without_pool(monkeypatch):
     assert optimality_scan(F(1), F(3, 2), 6, workers=2).entries == serial_scan.entries
 
 
-def _load_perfbench_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("workload", ["scan-prove", "search-bisect"])
+def test_benchmark_answers_match_reference(workload):
+    # every input of the workload's domain, run and checked against
+    # perfbench/reference.json by the benchmark's own rules: equal totals and
+    # feasible sets, no replay failure the reference lacks; for the search
+    # the same annotation, best_c within tol, a certificate that verifies
+    wl = _load_perfbench("workloads").WORKLOADS[workload]
+    reference = json.loads((PERFBENCH / "reference.json").read_text())[wl.name]
+    for inputs in wl.domain:
+        outcome = wl.check(inputs, wl.run(inputs), None, reference)
+        assert outcome.wrong == [], (str(inputs), outcome.wrong)
 
 
 def test_perfbench_tracer_binds_search():
     # perfbench/tracing.py wraps these functions by attribute name; a missing
     # one breaks the traced benchmark with AttributeError.  It counts one
     # decision per feasible span, and batches solve many in one linprog.
-    tracer = _load_perfbench_tracing().Tracer()
+    tracer = _load_perfbench("tracing").Tracer()
     with tracer.installed():
         report = optimality_scan(F(1), F(7, 5), 5)
     names = [span[0] for span in tracer.spans]
@@ -490,7 +536,7 @@ def test_perfbench_tracer_binds_search():
     # the tracer reads replay from feasible's keyword arguments: the one known
     # replay failure (10102100) must count, and '12' decisions show as
     # precondition
-    tracer = _load_perfbench_tracing().Tracer()
+    tracer = _load_perfbench("tracing").Tracer()
     with tracer.installed():
         optimality_scan(F(1), F(1517, 1000), 8)
     assert tracer.replay_failed == 1
