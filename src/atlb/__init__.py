@@ -72,7 +72,6 @@ from .rules import (
 from .search import (
     Feasibility,
     GoodProofParams,
-    ScanEntry,
     ScanReport,
     SearchResult,
     annotation_certificate,

@@ -17,10 +17,11 @@ they stack into one block-diagonal LP whose objective is the sum of their
 margins, and its optimum and duals split into those of each block.  Scans
 and searches cut their annotations into fixed batches; a process pool
 spreads whole batches, so the number of workers changes no answer.
-Bisection over c (best_exponent, search_best) runs the annotations of a batch
-in lockstep, deciding the midpoints of every open bracket in one float solve
-a round, decides without replay and keeps the last feasible decision;
-search_best replays only the winner's witness.
+Bisection over c (best_exponent, search_best) bisects one bracket per batch
+for the largest best exponent of its annotations: each midpoint decides, in
+one float solve and without replay, the annotations still level with the
+best, and drops those that fall behind; search_best replays only the
+winner's last feasible witness.
 
 The named constructors (good_proof, bpts_proof) are annotation certificates
 of fixed annotations with geometric speedup parameters; every certificate is
@@ -32,7 +33,7 @@ slowdowns named grover (grover_certificate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -540,19 +541,17 @@ def _decide_batch(jobs, replay):
 
 
 def _map_batches(fn, items, workers, *args) -> list:
-    """fn(batch, *args) of each run of _BATCH consecutive items, results
-    joined in order; in a process pool when workers > 1 and there are two
-    batches or more.  The pool maps whole batches, so which items share a
-    float solve, and hence every answer, depends on the items only."""
+    """fn(batch, *args) of each run of _BATCH consecutive items, in order; in
+    a process pool when workers > 1 and there are two batches or more.  The
+    pool maps whole batches, so which items share a float solve, and hence
+    every answer, depends on the items only."""
     batches = [items[i : i + _BATCH] for i in range(0, len(items), _BATCH)]
     if workers and workers > 1 and len(batches) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(fn, batches, *([arg] * len(batches) for arg in args)))
-    else:
-        done = [fn(batch, *args) for batch in batches]
-    return [r for batch in done for r in batch]
+            return list(pool.map(fn, batches, *([arg] * len(batches) for arg in args)))
+    return [fn(batch, *args) for batch in batches]
 
 
 # --- Bisection over c -------------------------------------------------------
@@ -577,55 +576,63 @@ def _midpoint(lo: Fraction, hi: Fraction) -> Fraction:
     return mid
 
 
-def _bisect(decide, brackets, tol: Fraction) -> list[Fraction]:
-    """Midpoint of each bracket [lo, hi], decided true at lo and false at hi,
-    once bisection has narrowed it to width <= tol.  The brackets move in
-    lockstep: each round makes one call decide(positions, cs) with the
-    midpoint c of every bracket still open and its position in the list, and
-    takes one verdict per midpoint back."""
-    brackets = [list(b) for b in brackets]
-    while open_ := [p for p, (lo, hi) in enumerate(brackets) if hi - lo > tol]:
-        mids = [_midpoint(*brackets[p]) for p in open_]
-        for p, mid, ok in zip(open_, mids, decide(open_, mids)):
-            brackets[p][0 if ok else 1] = mid
-    return [(lo + hi) / 2 for lo, hi in brackets]
+def _bisect(pred, lo: Fraction, hi: Fraction, tol: Fraction) -> Fraction:
+    """Midpoint of the bracket [lo, hi], pred true at lo and false at hi, once
+    bisection has narrowed it to width <= tol."""
+    while hi - lo > tol:
+        mid = _midpoint(lo, hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
-def _bisect_cs(annotations, alpha, tol, mode):
-    """(c*, the Feasibility at the last feasible c) of each annotation, or
-    (None, None) when it is infeasible near c = 1.  The annotations bisect in
-    lockstep, each round one float solve of the open brackets' midpoints;
-    every verdict is exact, so each annotation meets the midpoints it would
-    meet alone.  Decides without replay, so a caller that wants a
-    certificate replays."""
+def _bisect_max(annotations, alpha, tol, mode):
+    """(c*, annotation, the Feasibility at its last feasible c) of the
+    annotation with the largest c*, the first in order among ties; None when
+    each is infeasible near c = 1.
+
+    Each annotation is decided at its own lo, and the live (feasible) ones at
+    hi.  Then one bracket, from the lo of an annotation without '2' to hi, is
+    bisected with the predicate "some live annotation is ahead at c": feasible
+    there, or with lo >= c.  A true midpoint keeps only the annotations ahead,
+    so each live one has met every verdict of the bracket, and the first one's
+    best_exponent is exactly c*.  Decides without replay, so a caller that
+    wants a certificate replays."""
     hi = (1 + alpha) / alpha
-    best = [None] * len(annotations)
-
-    def decide(idx, cs):
-        jobs = [(annotations[i], alpha, c, mode) for i, c in zip(idx, cs)]
-        fs = _decide_batch(jobs, False)
-        for i, f in zip(idx, fs):
-            if f.feasible:
-                best[i] = f
-        return [f.feasible for f in fs]
 
     def lo_of(a):
         base = max(Fraction(1), 1 / alpha) if "2" in a else Fraction(1)
         return base + min(Fraction(1, 1000), (hi - base) / 1000)
 
-    los = [lo_of(a) for a in annotations]
-    live = [i for i, ok in enumerate(decide(range(len(annotations)), los)) if ok]
-    for i, ok in zip(live, decide(live, [hi] * len(live))):
-        if ok:
-            raise BracketError(
-                f"feasibility not monotone for {annotations[i]!r}: "
-                f"feasible at both c={los[i]} and c={hi}"
-            )
-    c_stars = _bisect(
-        lambda pos, cs: decide([live[p] for p in pos], cs), [(los[i], hi) for i in live], tol
-    )
-    c_star = dict(zip(live, c_stars))
-    return [(c_star[i], best[i]) if i in c_star else (None, None) for i in range(len(annotations))]
+    los = {a: lo_of(a) for a in annotations}
+    last = {}  # annotation -> its last feasible decision
+
+    def feasible_of(pairs) -> list[str]:
+        """The annotations of the (annotation, c) pairs feasible at their c."""
+        fs = _decide_batch([(a, alpha, c, mode) for a, c in pairs], False)
+        last.update((f.annotation, f) for f in fs if f.feasible)
+        return [f.annotation for f in fs if f.feasible]
+
+    live = feasible_of(los.items())
+    if not live:
+        return None
+    if both := feasible_of((a, hi) for a in live):
+        raise BracketError(
+            f"feasibility not monotone for {both[0]!r}: "
+            f"feasible at both c={los[both[0]]} and c={hi}"
+        )
+
+    def some_ahead(c):
+        nonlocal live
+        ok = feasible_of((a, c) for a in live if los[a] < c)
+        ahead = [a for a in live if los[a] >= c or a in ok]
+        live = ahead or live
+        return bool(ahead)
+
+    c_star = _bisect(some_ahead, lo_of("1"), hi, tol)
+    return c_star, live[0], last[live[0]]
 
 
 def best_exponent(
@@ -635,7 +642,8 @@ def best_exponent(
     bisection; None if it is infeasible even near c = 1."""
     alpha, tol = Fraction(alpha), Fraction(tol)
     _check_params(alpha, tol=tol)
-    return _bisect_cs([a], alpha, tol, mode)[0][0]
+    best = _bisect_max([a], alpha, tol, mode)
+    return None if best is None else best[0]
 
 
 @dataclass
@@ -653,20 +661,17 @@ def search_best(
     *,
     workers: int | None = None,
 ) -> SearchResult | None:
-    """Maximize best_exponent over all annotations up to max_len, bisecting
-    each batch of them once in lockstep, and replay the winner's last
-    feasible witness.
+    """Maximize best_exponent over all annotations up to max_len, by one
+    bisection of the maximum per batch (_bisect_max), and replay the winner's
+    last feasible witness.
 
     Ties break deterministically toward the shortest, then lexicographically
     smallest annotation (the enumeration order)."""
     alpha, tol = Fraction(alpha), Fraction(tol)
     _check_params(alpha, tol=tol)
     annotations = list(enumerate_annotations(max_len, mode))
-    results = _map_batches(_bisect_cs, annotations, workers, alpha, tol, mode)
-    best = None
-    for a, (c_star, f) in zip(annotations, results):
-        if c_star is not None and (best is None or c_star > best[0]):
-            best = (c_star, a, f)
+    batches = _map_batches(_bisect_max, annotations, workers, alpha, tol, mode)
+    best = max((b for b in batches if b is not None), key=lambda b: b[0], default=None)
     if best is None:
         return None
     c_star, a, f = best
@@ -767,10 +772,7 @@ def good_proof_best_c(alpha: Fraction, k: int, tol: Fraction = Fraction(1, 10**7
         prev = c
     if lo is None:
         raise RuntimeError(f"no contradicting c found for alpha={alpha}, k={k}")
-    [c_star] = _bisect(
-        lambda _, cs: [good_proof_contradicts(alpha, c, k) for c in cs], [(lo, prev)], tol
-    )
-    return c_star
+    return _bisect(lambda c: good_proof_contradicts(alpha, c, k), lo, prev, tol)
 
 
 def good_proof_limit(alpha: Fraction, tol: float = 1e-12) -> float:
@@ -828,27 +830,19 @@ def bpts_grover_proof(cc: Fraction, d: Fraction | None = None) -> ProofCertifica
 
 
 @dataclass
-class ScanEntry:
-    annotation: str
-    feasible: bool
-    margin: Fraction | None
-    replay_ok: bool
-
-
-@dataclass
 class ScanReport:
     alpha: Fraction
     c: Fraction
     mode: str
     max_len: int
-    entries: list[ScanEntry] = field(default_factory=list)
+    entries: list[Feasibility]
 
     @property
     def total(self) -> int:
         return len(self.entries)
 
     @property
-    def feasible_entries(self) -> list[ScanEntry]:
+    def feasible_entries(self) -> list[Feasibility]:
         return [e for e in self.entries if e.feasible]
 
     def summary(self) -> str:
@@ -871,8 +865,6 @@ def optimality_scan(
     max_len, in batches (see _map_batches); deterministic order."""
     alpha, cc = Fraction(alpha), Fraction(cc)
     _check_params(alpha, cc=cc)
-    report = ScanReport(alpha, cc, mode, max_len)
     jobs = [(a, alpha, cc, mode) for a in enumerate_annotations(max_len, mode)]
-    for f in _map_batches(_decide_batch, jobs, workers, True):
-        report.entries.append(ScanEntry(f.annotation, f.feasible, f.margin, f.replay_ok))
-    return report
+    batches = _map_batches(_decide_batch, jobs, workers, True)
+    return ScanReport(alpha, cc, mode, max_len, [f for fs in batches for f in fs])

@@ -187,6 +187,11 @@ class TestSearchAndScan:
         assert run(["verify", str(out)]) == EXIT_OK
         capsys.readouterr()
 
+    def test_search_bracket_error_exit_one(self, force_feasible, capsys):
+        force_feasible("100")
+        assert run(["search", "--alpha", "1", "--max-len", "3"]) == EXIT_INVALID
+        assert "not monotone for '100'" in capsys.readouterr().err
+
     def test_optimality_scan_none_feasible(self, capsys):
         assert run(["optimality", "--alpha", "1", "--c", "1.8", "--max-len", "5"]) == EXIT_OK
         text = capsys.readouterr().out
