@@ -239,6 +239,8 @@ def _cmd_optimality(args) -> int:
         replay = "replayed" if entry.replay_ok else "replay failed"
         print(f"feasible: {entry.annotation} margin={margin} ({replay})")
     print(report.summary())
+    methods = ", ".join(f"{m}={n}" for m, n in sorted(report.methods.items()))
+    print(f"methods: {methods or 'none'}; replay failed: {report.replay_failed}")
     return EXIT_OK
 
 

@@ -10,8 +10,15 @@ answer is replayed once through the exact rules at a large concrete d.
 
 The float LP (scipy/HiGHS) only steers: a feasible answer is certified by an
 exact rational witness check, an infeasible one by exact weak-duality
-multipliers solved on the float solution's active set (one dual path); when
-neither certifies, one exact rational simplex solve decides.  The float LPs
+multipliers solved on the float solution's active set (one dual path).  When
+neither certifies, the active set itself is checked exactly: its rows solved
+as equalities give a vertex, and when the vertex satisfies every row and its
+margin equals the dual bound on the same set, that margin is the exact LP
+optimum (method "vertex").  A feasible vertex's witness is its own speedup
+parameters, or those of one float re-solve toward the tight maxima, if the
+rules accept them.  One exact rational simplex solve is the last resort: for
+a vertex that does not verify, a float solve that does not end optimal, or a
+replayed decision without an accepted witness.  The float LPs
 are solved in batches: the LPs of a batch share no variable and no row, so
 they stack into one block-diagonal LP whose objective is the sum of their
 margins, and its optimum and duals split into those of each block.  Scans
@@ -21,7 +28,8 @@ Bisection over c (best_exponent, search_best) bisects one bracket per batch
 for the largest best exponent of its annotations: each midpoint decides, in
 one float solve and without replay, the annotations still level with the
 best, and drops those that fall behind; search_best replays only the
-winner's last feasible witness.
+winner's last feasible witness, and decides the winner again if the rules
+reject it.
 
 The named constructors (good_proof, bpts_proof) are annotation certificates
 of fixed annotations with geometric speedup parameters; every certificate is
@@ -33,6 +41,7 @@ slowdowns named grover (grover_certificate).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,6 +74,7 @@ _CONST = -1
 _MARGIN = 0
 
 _FLOAT_TOL = 1e-9
+_DUAL_TOL = 1e-11  # a row dual below -_DUAL_TOL is nonzero
 
 # LPs per float solve in scans and bisection rounds.  On a 2-vCPU Xeon a
 # lone solve takes 3-4 ms, nearly all of it linprog's per-call overhead; per
@@ -283,7 +293,7 @@ def _dual_bound(lp: _BuildAlgebra, support: list[int], w: list[Fraction]) -> Fra
     """Weak-duality bound from any exact multipliers w >= 0 on the rows:
     summing w_r * (row_r >= 0) gives q.v + bound >= 0, so if every variable
     coefficient q_i is <= 0 (and the free margin's is < 0) then
-    margin <= bound / (-q_margin); returns that iff it is <= 0."""
+    margin <= bound / (-q_margin), whatever its sign."""
     q: dict[int, Fraction] = {}
     bound = Fraction(0)
     for r, wr in zip(support, w):
@@ -298,18 +308,22 @@ def _dual_bound(lp: _BuildAlgebra, support: list[int], w: list[Fraction]) -> Fra
         return None
     if any(v > 0 for i, v in q.items() if i != _MARGIN):
         return None
-    bound = bound / -q[_MARGIN]
-    return bound if bound <= 0 else None
+    return bound / -q[_MARGIN]
 
 
-def _certify_infeasible(lp: _BuildAlgebra, x, duals) -> Fraction | None:
-    """Exact weak-duality upper bound on the margin, returned iff <= 0.  The
+def _tight_columns(lp: _BuildAlgebra, x) -> list[int]:
+    """The margin and the columns the float solution puts above 0."""
+    return [_MARGIN] + [i for i in range(1, lp.nvars) if x[i] > _FLOAT_TOL]
+
+
+def _active_dual_bound(lp: _BuildAlgebra, x, duals) -> Fraction | None:
+    """Exact weak-duality upper bound on the margin, of any sign.  The
     multipliers solve the dual equations exactly on the float solution's
     active set: the rows with a nonzero dual times the tight columns."""
-    support = [r for r, v in enumerate(duals) if v < -1e-11]
+    support = [r for r, v in enumerate(duals) if v < -_DUAL_TOL]
     if not support:
         return None
-    tight = [_MARGIN] + [i for i in range(1, lp.nvars) if x[i] > 1e-9]
+    tight = _tight_columns(lp, x)
     a_rows = [[lp.rows[r].get(i, Fraction(0)) for r in support] for i in tight]
     b = [Fraction(-1)] + [Fraction(0)] * (len(tight) - 1)
     sol = _solve_rational(a_rows, b)
@@ -318,17 +332,63 @@ def _certify_infeasible(lp: _BuildAlgebra, x, duals) -> Fraction | None:
     return _dual_bound(lp, support, sol)
 
 
-def _solve_floats(lps: list[_BuildAlgebra]) -> list:
-    """Float solution (x, row duals) of each LP, from one HiGHS solve of the
-    block-diagonal LP that maximizes the sum of their margins; None for every
-    block when that solve does not end optimal.
+def _row_value(row: dict, v) -> Fraction:
+    """The row's expression at the point v (exact, or float for a float v);
+    the row holds iff it is >= 0."""
+    return sum((coeff * (1 if i == _CONST else v[i]) for i, coeff in row.items()), Fraction(0))
 
-    The blocks share no variable and no row, so an optimum of the sum is an
-    optimum of each block, and the duals of a block's rows are duals of its
-    LP.  The matrix is sparse: dense, it would grow with the square of the
-    batch (~26 MB for 145 LPs)."""
-    if not lps:
-        return []
+
+def _active_vertex(lp: _BuildAlgebra, x, duals):
+    """(exact LP optimum, the vertex) from the float solution's active set,
+    or None when it does not verify.
+
+    The primal vertex solves the active rows (zero residual or a nonzero
+    dual) as equalities on the tight columns, every other column at 0, and
+    must satisfy every row and v >= 0 exactly.  Its margin is optimal when
+    it equals the exact dual bound on the same set (_active_dual_bound)."""
+    active = [
+        r
+        for r, (row, dual) in enumerate(zip(lp.rows, duals))
+        if dual < -_DUAL_TOL or abs(_row_value(row, x)) <= _FLOAT_TOL
+    ]
+    tight = _tight_columns(lp, x)
+    a_rows = [[lp.rows[r].get(i, Fraction(0)) for i in tight] for r in active]
+    sol = _solve_rational(a_rows, [-lp.rows[r].get(_CONST, Fraction(0)) for r in active])
+    if sol is None:
+        return None
+    v = [Fraction(0)] * lp.nvars
+    for i, vi in zip(tight, sol):
+        v[i] = vi
+    if any(vi < 0 for vi in v[1:]) or any(_row_value(row, v) < 0 for row in lp.rows):
+        return None
+    if _active_dual_bound(lp, x, duals) != v[_MARGIN]:
+        return None
+    return v[_MARGIN], v
+
+
+def _rounded(lp: _BuildAlgebra, x) -> list[Fraction]:
+    """The float solution's speedup parameters as nearby simple rationals."""
+    return [Fraction(float(x[i])).limit_denominator(10**12) for i in lp.xvars]
+
+
+def _vertex_witnesses(lp: _BuildAlgebra, opt: Fraction, v: list[Fraction]):
+    """Speedup parameters to try as the witness of a feasible vertex: the
+    vertex's own, then those of one float re-solve that keeps margin >= opt/2
+    and minimizes the sum of the max variables, pushing each toward the tight
+    max the rules compute.  One LP, so its matrix is dense."""
+    yield [v[i] for i in lp.xvars]
+    a_ub, b_ub, _ = _stacked([lp])
+    c = np.ones(lp.nvars)
+    c[[_MARGIN, *lp.xvars]] = 0.0
+    bounds = [(float(opt / 2), None)] + [(0, None)] * (lp.nvars - 1)
+    res = linprog(c, A_ub=a_ub.toarray(), b_ub=b_ub, bounds=bounds, method="highs")
+    if res.status == 0:
+        yield _rounded(lp, res.x)
+
+
+def _stacked(lps: list[_BuildAlgebra]):
+    """(A_ub, b_ub, spans) of the block-diagonal float LP A_ub v <= b_ub with
+    the LPs' rows as blocks; spans holds each LP's first column and row."""
     rows, cols, vals, b_ub, spans = [], [], [], [], []
     nvars = 0
     for lp in lps:
@@ -345,13 +405,28 @@ def _solve_floats(lps: list[_BuildAlgebra]) -> list:
                     vals.append(-float(coeff))
             b_ub.append(b)
         nvars += lp.nvars
+    return csc_array((vals, (rows, cols)), shape=(len(b_ub), nvars)), b_ub, spans
+
+
+def _solve_floats(lps: list[_BuildAlgebra]) -> list:
+    """Float solution (x, row duals) of each LP, from one HiGHS solve of the
+    block-diagonal LP that maximizes the sum of their margins; None for every
+    block when that solve does not end optimal.
+
+    The blocks share no variable and no row, so an optimum of the sum is an
+    optimum of each block, and the duals of a block's rows are duals of its
+    LP.  The matrix is sparse: dense, it would grow with the square of the
+    batch (~26 MB for 145 LPs)."""
+    if not lps:
+        return []
+    a_ub, b_ub, spans = _stacked(lps)
+    nvars = a_ub.shape[1]
     margins = [v0 + _MARGIN for v0, _ in spans]
     c = np.zeros(nvars)
     c[margins] = -1.0
     bounds = np.zeros((nvars, 2))
     bounds[:, 1] = np.inf
     bounds[margins, 0] = -np.inf
-    a_ub = csc_array((vals, (rows, cols)), shape=(len(b_ub), nvars))
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
         return [None] * len(lps)
@@ -505,10 +580,11 @@ def feasible(
         raise ValueError(f"annotation {a!r} is not a valid complete {mode} annotation")
     _check_params(alpha, cc=cc)
 
-    def result(ok, margin, xs, method):
+    def result(ok, margin, xs, method, tight=None):
+        # tight: the witness's own margin under the rules, when it differs
         replay_ok, cert = (False, None)
         if ok and replay:
-            replay_ok, cert = _replay(a, alpha, cc, mode, xs, margin)
+            replay_ok, cert = _replay(a, alpha, cc, mode, xs, tight or margin)
         return Feasibility(a, alpha, cc, mode, ok, margin, xs, replay_ok, cert, method)
 
     lp, sol = _solved or _solve_batch([(a, alpha, cc, mode)])[0]
@@ -519,14 +595,26 @@ def feasible(
         x, duals = sol
         mval = x[_MARGIN]
         if mval > _FLOAT_TOL:
-            xs = [Fraction(float(x[i])).limit_denominator(10**12) for i in lp.xvars]
+            xs = _rounded(lp, x)
             margin = _witness_margin(a, alpha, cc, mode, xs)
             if margin is not None and margin > 0:
                 return result(True, margin, xs, "float+primal")
         elif mval < -_FLOAT_TOL:
-            bound = _certify_infeasible(lp, x, duals)
-            if bound is not None:
+            bound = _active_dual_bound(lp, x, duals)
+            if bound is not None and bound <= 0:
                 return result(False, bound, [], "float+dual")
+        vertex = _active_vertex(lp, x, duals)
+        if vertex is not None:
+            opt, v = vertex
+            if opt <= 0:
+                return result(False, opt, [], "vertex")
+            # a witness the rules accept, else (replaying) the exact simplex's
+            for xs in _vertex_witnesses(lp, opt, v):
+                tight = _witness_margin(a, alpha, cc, mode, xs)
+                if tight > 0:
+                    return result(True, opt, xs, "vertex", tight)
+            if not replay:  # search_best decides its winner again if need be
+                return result(True, opt, [v[i] for i in lp.xvars], "vertex")
 
     margin, xs = _solve_exact(lp)
     if margin is None or margin <= 0:
@@ -663,7 +751,8 @@ def search_best(
 ) -> SearchResult | None:
     """Maximize best_exponent over all annotations up to max_len, by one
     bisection of the maximum per batch (_bisect_max), and replay the winner's
-    last feasible witness.
+    last feasible witness; when the rules reject it (an LP vertex above the
+    tight maxima), decide the winner again at that c with replay.
 
     Ties break deterministically toward the shortest, then lexicographically
     smallest annotation (the enumeration order)."""
@@ -675,7 +764,9 @@ def search_best(
     if best is None:
         return None
     c_star, a, f = best
-    _, cert = _replay(a, alpha, f.c, mode, f.witness, f.margin)
+    ok, cert = _replay(a, alpha, f.c, mode, f.witness, f.margin)
+    if not ok:  # the bisection kept a vertex the rules reject: decide again
+        cert = feasible(a, alpha, f.c, mode).certificate
     return SearchResult(c_star, a, cert)
 
 
@@ -844,6 +935,16 @@ class ScanReport:
     @property
     def feasible_entries(self) -> list[Feasibility]:
         return [e for e in self.entries if e.feasible]
+
+    @property
+    def methods(self) -> dict[str, int]:
+        """How many verdicts each certification method decided."""
+        return dict(Counter(e.method for e in self.entries))
+
+    @property
+    def replay_failed(self) -> int:
+        """Feasible verdicts without a replayed certificate."""
+        return sum(not e.replay_ok for e in self.feasible_entries)
 
     def summary(self) -> str:
         n = len(self.feasible_entries)

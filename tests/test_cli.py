@@ -204,6 +204,16 @@ class TestSearchAndScan:
         assert "replayed" in text
         assert "1 feasible annotation of length <= 3" in text
 
+    def test_optimality_prints_methods_and_replay_failures(self, capsys):
+        # one line after the summary: verdicts per certification method, and
+        # the feasible verdicts without a replayed certificate (10102100)
+        assert run(["optimality", "--alpha", "1", "--c", "8/5", "--max-len", "8"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("38 feasible annotations of length <= 8")
+        assert lines[-1] == "methods: exact=1, float+dual=18, float+primal=37, precondition=89; replay failed: 1"
+        assert run(["optimality", "--alpha", "1", "--c", "1.4", "--max-len", "3"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "methods: float+primal=1; replay failed: 0"
+
     def test_config_defaults_overridden_by_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("# defaults\nmax_len = 7\ntol = 1/100\n")

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import copy
+import dataclasses
 import importlib.util
 import json
 import math
@@ -10,9 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
-from atlb import search
+from atlb import search, simplex
 from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
 from atlb.rules import format_certificate, verify_proof
 from atlb.search import (
@@ -124,6 +127,25 @@ class TestFeasible:
         assert f.margin == F(881, 9425) == _solve_exact(lp)[0]
         assert (f.certificate is None) == (not f.replay_ok)
 
+    def test_infeasible_vertex_margin_is_lp_optimum(self):
+        # c is a convergent of sqrt(2) just above it: the float margin is
+        # within HiGHS's tolerance of 0, so neither float check settles.  The
+        # active-set vertex reports the exact negative optimum; the exact
+        # simplex, which clamps the margin at 0, would report None.
+        cc = F(66922, 47321)
+        f = feasible("100", F(1), cc)
+        assert (f.feasible, f.method) == (False, "vertex")
+        assert f.margin == _lp_optimum(_build_lp("100", F(1), cc, TS_MODE)) == F(-1, 2239277041)
+
+    @pytest.mark.parametrize("a, cc", [("10102100", F(1517, 1000)), ("100", F(66922, 47321))])
+    def test_unverified_vertex_falls_back_to_exact_simplex(self, a, cc, monkeypatch):
+        vertex = feasible(a, F(1), cc)
+        assert vertex.method == "vertex"
+        monkeypatch.setattr(search, "_active_vertex", lambda *args: None)
+        exact = feasible(a, F(1), cc)
+        assert (exact.feasible, exact.method) == (vertex.feasible, "exact")
+        assert exact.margin == (vertex.margin if vertex.feasible else None)
+
     def test_dual_margin_is_lp_optimum(self):
         # the multipliers are solved exactly on the optimal active set, so an
         # infeasible margin is the LP optimum itself, alone and in a batch
@@ -156,6 +178,34 @@ class TestFeasible:
         _walk_annotation(a, F(1), cc, TS_MODE, walk)
         classes = f.certificate.classes
         assert classes[-1].d == classes[0].d * walk.d
+
+
+_LP_ANNOTATIONS = {
+    mode: [a for a in enumerate_annotations(8, mode) if "12" not in a] for mode in (TS_MODE, BPTS_MODE)
+}
+
+
+@st.composite
+def lp_decisions(draw):
+    """(annotation, alpha, c, mode) whose LP exists: c strictly inside the
+    squiggle's range when the annotation has a '2'."""
+    mode = draw(st.sampled_from([TS_MODE, BPTS_MODE]))
+    a = draw(st.sampled_from(_LP_ANNOTATIONS[mode]))
+    alpha = F(draw(st.integers(1, 20)), 20)
+    lo = max(F(1), 1 / alpha) if "2" in a else F(1)
+    cc = lo + ((1 + alpha) / alpha - lo) * F(draw(st.integers(1, 99)), 100)
+    return a, alpha, cc, mode
+
+
+@given(lp_decisions())
+@settings(max_examples=30, deadline=None)
+def test_active_vertex_is_lp_optimum(job):
+    # the vertex of HiGHS's active set verifies, and its margin (what a
+    # "vertex" decision reports) is the exact LP optimum
+    lp, (x, duals) = search._solve_batch([job])[0]
+    vertex = search._active_vertex(lp, x, duals)
+    assert vertex is not None
+    assert vertex[0] == _lp_optimum(lp, shift=F(math.ceil(max(0.0, -x[_MARGIN]))) + 1)
 
 
 class TestBestExponent:
@@ -250,6 +300,23 @@ class TestBestExponent:
             best_exponent("100", F(1))
         with pytest.raises(search.BracketError, match="not monotone for '100'"):
             search_best(5, F(1))
+
+    def test_winner_redecided_when_kept_witness_fails_replay(self, monkeypatch):
+        # a replay=False bisection may keep an optimal vertex above the tight
+        # maxima; search_best then decides the winner again, with replay
+        bisect_max = search._bisect_max
+
+        def non_tight(*args):
+            best = bisect_max(*args)
+            if best is not None:
+                c_star, a, f = best
+                best = c_star, a, dataclasses.replace(f, witness=[x / 1000 for x in f.witness])
+            return best
+
+        monkeypatch.setattr(search, "_bisect_max", non_tight)
+        res = search_best(5, F(1), tol=F(1, 10**4))
+        rep = verify_proof(res.certificate)
+        assert rep.valid and rep.contradiction
 
     def test_search_best_length5_beats_length3(self):
         res = search_best(5, F(1), tol=F(1, 10**4))
@@ -475,7 +542,7 @@ class TestBatchedDecisions:
                 assert f.margin > 0
                 assert f.margin == _witness_margin(f.annotation, alpha, cc, TS_MODE, f.witness)
             else:
-                assert f.method == "exact" and f.margin > 0
+                assert f.method in ("vertex", "exact") and f.margin > 0
                 lp = _build_lp(f.annotation, alpha, cc, TS_MODE)
                 assert f.margin == _solve_exact(lp)[0]
 
@@ -551,6 +618,20 @@ def test_benchmark_answers_match_reference(workload):
         assert outcome.wrong == [], (str(inputs), outcome.wrong)
 
 
+def test_scan_prove_needs_no_exact_simplex(monkeypatch):
+    # every input of the scan-prove workload is decided without the exact
+    # simplex, and every feasible verdict replays
+    wl = _load_perfbench("workloads").WORKLOADS["scan-prove"]
+
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("exact simplex called")
+
+    monkeypatch.setattr(simplex, "solve", no_simplex)
+    for cc in wl.domain:
+        report = wl.run(cc)
+        assert report.feasible_entries and report.replay_failed == 0, cc
+
+
 def test_perfbench_tracer_binds_search():
     # perfbench/tracing.py wraps these functions by attribute name; a missing
     # one breaks the traced benchmark with AttributeError.  It counts one
@@ -562,11 +643,11 @@ def test_perfbench_tracer_binds_search():
     assert {"feasible", "linprog", "apply_step", "verify_proof"} <= set(names)
     assert names.count("feasible") == report.total
     assert names.count("linprog") < names.count("feasible")
-    # the tracer reads replay from feasible's keyword arguments: the one known
-    # replay failure (10102100) must count, and '12' decisions show as
-    # precondition
+    # the tracer reads replay from feasible's keyword arguments: a known
+    # replay failure (10102100 at c = 8/5) must count, and '12' decisions
+    # show as precondition
     tracer = _load_perfbench("tracing").Tracer()
     with tracer.installed():
-        optimality_scan(F(1), F(1517, 1000), 8)
+        optimality_scan(F(1), F(8, 5), 8)
     assert tracer.replay_failed == 1
     assert "precondition" in tracer.methods
