@@ -1,0 +1,105 @@
+"""Print every decision of a fixed sweep, to diff two checkouts' answers.
+
+    PYTHONPATH=src python scripts/decisions.py OUT
+
+writes to OUT, one line each:
+
+- every optimality_scan entry for ts annotations of length <= 9 and bpts
+  annotations of length <= 8, at alpha in {1, 2/3, 4/5} and each c in
+  {7/5, 3/2, 1517/1000, 8/5, 17/10, 2, 9/4} below (1+alpha)/alpha
+  (7,290 decisions): mode, alpha, c, annotation, feasible, margin,
+  replay_ok, method;
+- the search_best(8, alpha) answer, ts at alpha in {1, 2/3, 3/4, 4/5, 9/10}
+  and bpts at alpha in {1, 2/3, 9/10}: mode, alpha, annotation, best c,
+  and whether its certificate verifies to a contradiction;
+- best_exponent's bisection (tol 1e-7) of each of the 170 ts annotations
+  of length <= 10 without '12' or '22' at alpha = 1: annotation, c*, and
+  its decisions per method;
+- the calls to HiGHS (search.linprog) and to the exact simplex
+  (simplex.solve) of each part.
+
+Run it in a checkout of each tree and diff the two files.  It takes a few
+minutes.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+from fractions import Fraction
+
+from atlb import search, simplex
+from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
+from atlb.rules import verify_proof
+
+F = Fraction
+ALPHAS = (F(1), F(2, 3), F(4, 5))
+CS = (F(7, 5), F(3, 2), F(1517, 1000), F(8, 5), F(17, 10), F(2), F(9, 4))
+SEARCHES = [(TS_MODE, a) for a in (F(1), F(2, 3), F(3, 4), F(4, 5), F(9, 10))] + [
+    (BPTS_MODE, a) for a in (F(1), F(2, 3), F(9, 10))
+]
+
+
+def counted(module, name, calls):
+    orig = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return orig(*args, **kwargs)
+
+    setattr(module, name, wrapper)
+
+
+def main(out_path: str) -> None:
+    calls: Counter = Counter()
+    counted(search, "linprog", calls)
+    counted(simplex, "solve", calls)
+    lines = []
+
+    def part_done(name):
+        lines.append(f"calls {name}: linprog={calls['linprog']} simplex={calls['solve']}")
+        calls.clear()
+
+    for alpha in ALPHAS:
+        for cc in (c for c in CS if c < (1 + alpha) / alpha):
+            for mode, max_len in ((TS_MODE, 9), (BPTS_MODE, 8)):
+                for e in search.optimality_scan(alpha, cc, max_len, mode).entries:
+                    lines.append(
+                        f"scan {mode} {alpha} {cc} {e.annotation} {e.feasible} {e.margin} "
+                        f"{e.replay_ok} {e.method}"
+                    )
+    part_done("sweep")
+
+    for mode, alpha in SEARCHES:
+        res = search.search_best(8, alpha, mode)
+        rep = verify_proof(res.certificate)
+        verifies = "certificate verifies" if rep.valid and rep.contradiction else "CERTIFICATE FAILS"
+        lines.append(f"search {mode} {alpha} {res.annotation} {res.best_c} {verifies}")
+    part_done("searches")
+
+    decided: list = []
+    solo = search.feasible
+
+    def recorded(*args, **kwargs):
+        decided.append(solo(*args, **kwargs))
+        return decided[-1]
+
+    search.feasible = recorded
+    for a in enumerate_annotations(10, TS_MODE):
+        if "12" in a or "22" in a:
+            continue
+        decided.clear()
+        best = search._bisect_max([a], F(1), F(1, 10**7), TS_MODE)
+        methods = ", ".join(f"{m}={n}" for m, n in sorted(Counter(f.method for f in decided).items()))
+        lines.append(f"bisect {a} {None if best is None else best[0]} {methods}")
+    search.feasible = solo
+    part_done("bisections")
+
+    with open(out_path, "w") as out:
+        out.write("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: decisions.py OUT")
+    main(sys.argv[1])

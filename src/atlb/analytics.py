@@ -2,8 +2,9 @@
 
 The lower-bound exponent for slowdown parameter alpha is the largest real root
 of P_alpha(x) = alpha^2 x^3 - alpha x^2 - 2 alpha x + 1.  Roots are isolated by
-sign-change bracketing with rational endpoints and refined by bisection; they
-are the only irrational values in the package and never feed back into
+sign-change bracketing with rational endpoints and refined by bisection
+(_bisect, the one bisection loop, which the search also runs over c); they are
+the only irrational values in the package and never feed back into
 certificates.
 """
 
@@ -39,22 +40,31 @@ def p_alpha(alpha: Fraction) -> Cubic:
     return Cubic(alpha * alpha, -alpha, -2 * alpha, Fraction(1))
 
 
-def _bisect(p: Cubic, lo: Fraction, hi: Fraction, tol: float) -> float:
-    """Rational-endpoint bisection on a sign change, then one float refinement."""
-    flo = p(lo)
-    if flo == 0:
-        return float(lo)
-    sign_lo = flo > 0
-    while hi - lo > Fraction(tol).limit_denominator(10**18) / 4:
-        mid = (lo + hi) / 2
-        fmid = p(mid)
-        if fmid == 0:
-            return float(mid)
-        if (fmid > 0) == sign_lo:
+def _midpoint(lo: Fraction, hi: Fraction) -> Fraction:
+    """A simple rational strictly inside (lo, hi), near the midpoint.
+
+    Keeping denominators small keeps all downstream exact arithmetic cheap;
+    the exact midpoint would double the denominator every bisection step."""
+    mid = (lo + hi) / 2
+    limit = 16
+    while limit <= 10**18:
+        cand = mid.limit_denominator(limit)
+        if lo < cand < hi:
+            return cand
+        limit *= 16
+    return mid
+
+
+def _bisect(pred, lo: Fraction, hi: Fraction, tol: Fraction) -> Fraction:
+    """Midpoint of the bracket [lo, hi], pred true at lo and false at hi, once
+    bisection has narrowed it to width <= tol."""
+    while hi - lo > tol:
+        mid = _midpoint(lo, hi)
+        if pred(mid):
             lo = mid
         else:
             hi = mid
-    return float((lo + hi) / 2)
+    return (lo + hi) / 2
 
 
 def real_roots_cubic(p: Cubic, tol: float = DEFAULT_TOL) -> list[float]:
@@ -78,7 +88,8 @@ def real_roots_cubic(p: Cubic, tol: float = DEFAULT_TOL) -> list[float]:
         if flo == 0:
             roots.append(float(lo))
         if flo * fhi < 0:
-            roots.append(_bisect(p, lo, hi, tol))
+            root = _bisect(lambda x: (p(x) > 0) == (flo > 0), lo, hi, Fraction(tol) / 4)
+            roots.append(float(root))
     fb = p(Fraction(bound))
     if fb == 0:
         roots.append(float(bound))

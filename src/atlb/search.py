@@ -14,28 +14,29 @@ multipliers solved on the float solution's active set (one dual path).  When
 neither certifies, the active set itself is checked exactly: its rows solved
 as equalities give a vertex, and when the vertex satisfies every row and its
 margin equals the dual bound on the same set, that margin is the exact LP
-optimum (method "vertex").  A feasible vertex's witness is its own speedup
-parameters, or those of one float re-solve toward the tight maxima, if the
-rules accept them.  One exact rational simplex solve is the last resort: for
-a vertex that does not verify, a float solve that does not end optimal, or a
-replayed decision without an accepted witness.  The float LPs
-are solved in batches: the LPs of a batch share no variable and no row, so
-they stack into one block-diagonal LP whose objective is the sum of their
-margins, and its optimum and duals split into those of each block.  Scans
-and searches cut their annotations into fixed batches; a process pool
-spreads whole batches, so the number of workers changes no answer.
-Bisection over c (best_exponent, search_best) bisects one bracket per batch
-for the largest best exponent of its annotations: each midpoint decides, in
-one float solve and without replay, the annotations still level with the
-best, and drops those that fall behind; search_best replays only the
-winner's last feasible witness, and decides the winner again if the rules
-reject it.
+optimum and the verdict is final (method "vertex").  A vertex that does not
+verify gets one lone float re-solve at a tighter feasibility tolerance.
+Unreplayed, a feasible vertex's witness is its own speedup parameters; a
+replayed one takes those of one float re-solve toward the tight maxima if
+the rules accept them, else the exact simplex's.  Only when no vertex
+verifies, or the float solve does not end optimal, does one exact rational
+simplex solve decide (method "exact").  The float LPs are solved in
+batches: the LPs of a batch share no variable and no row, so they stack into
+one block-diagonal LP whose objective is the sum of their margins, and its
+optimum and duals split into those of each block.  Scans and searches cut
+their annotations into fixed batches; a process pool spreads whole batches,
+so the number of workers changes no answer.  Bisection over c
+(best_exponent, search_best) bisects one bracket per batch for the largest
+best exponent of its annotations: each midpoint decides, in one float solve
+and without replay, the annotations still level with the best, and drops
+those that fall behind; search_best replays only the winner's last feasible
+witness, and decides the winner again if the rules reject it.
 
 The named constructors (good_proof, bpts_proof) are annotation certificates
 of fixed annotations with geometric speedup parameters; every certificate is
-assembled by _run_steps, and every bisection runs in _bisect.  There is one
-slowdown model: a ts-mode Grover proof is an alpha = 2/3 proof with its
-slowdowns named grover (grover_certificate).
+assembled by _run_steps, and every bisection runs in analytics._bisect.
+There is one slowdown model: a ts-mode Grover proof is an alpha = 2/3 proof
+with its slowdowns named grover (grover_certificate).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from . import simplex
-from .analytics import largest_root_cubic, p_alpha
+from .analytics import _bisect, largest_root_cubic, p_alpha
 from .kernel import (
     BP_TS,
     BPTS_MODE,
@@ -371,24 +372,28 @@ def _rounded(lp: _BuildAlgebra, x) -> list[Fraction]:
     return [Fraction(float(x[i])).limit_denominator(10**12) for i in lp.xvars]
 
 
-def _vertex_witnesses(lp: _BuildAlgebra, opt: Fraction, v: list[Fraction]):
-    """Speedup parameters to try as the witness of a feasible vertex: the
-    vertex's own, then those of one float re-solve that keeps margin >= opt/2
-    and minimizes the sum of the max variables, pushing each toward the tight
-    max the rules compute.  One LP, so its matrix is dense."""
-    yield [v[i] for i in lp.xvars]
+def _vertex_witnesses(lp: _BuildAlgebra, opt: Fraction):
+    """Speedup parameters to try as the witness of a feasible vertex that is
+    replayed: those of one float re-solve that keeps margin >= opt/2 and
+    minimizes the sum of the max variables, pushing each toward the tight
+    max the rules compute, then the exact simplex's."""
     a_ub, b_ub, _ = _stacked([lp])
     c = np.ones(lp.nvars)
     c[[_MARGIN, *lp.xvars]] = 0.0
     bounds = [(float(opt / 2), None)] + [(0, None)] * (lp.nvars - 1)
-    res = linprog(c, A_ub=a_ub.toarray(), b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status == 0:
         yield _rounded(lp, res.x)
+    yield _solve_exact(lp)[1]
 
 
 def _stacked(lps: list[_BuildAlgebra]):
     """(A_ub, b_ub, spans) of the block-diagonal float LP A_ub v <= b_ub with
-    the LPs' rows as blocks; spans holds each LP's first column and row."""
+    the LPs' rows as blocks; spans holds each LP's first column and row.
+
+    A_ub is sparse: dense, it would grow with the square of the batch (~26 MB
+    for 145 LPs).  One LP gets a dense A_ub, which linprog takes without the
+    sparse conversions (2.6 ms against 3.1 ms a solve, for 10110200)."""
     rows, cols, vals, b_ub, spans = [], [], [], [], []
     nvars = 0
     for lp in lps:
@@ -405,18 +410,19 @@ def _stacked(lps: list[_BuildAlgebra]):
                     vals.append(-float(coeff))
             b_ub.append(b)
         nvars += lp.nvars
-    return csc_array((vals, (rows, cols)), shape=(len(b_ub), nvars)), b_ub, spans
+    a_ub = csc_array((vals, (rows, cols)), shape=(len(b_ub), nvars))
+    return (a_ub.toarray() if len(lps) == 1 else a_ub), b_ub, spans
 
 
-def _solve_floats(lps: list[_BuildAlgebra]) -> list:
+def _solve_floats(lps: list[_BuildAlgebra], tol: float | None = None) -> list:
     """Float solution (x, row duals) of each LP, from one HiGHS solve of the
     block-diagonal LP that maximizes the sum of their margins; None for every
-    block when that solve does not end optimal.
+    block when that solve does not end optimal.  tol, if given, is HiGHS's
+    primal feasibility tolerance (default 1e-7).
 
     The blocks share no variable and no row, so an optimum of the sum is an
     optimum of each block, and the duals of a block's rows are duals of its
-    LP.  The matrix is sparse: dense, it would grow with the square of the
-    batch (~26 MB for 145 LPs)."""
+    LP."""
     if not lps:
         return []
     a_ub, b_ub, spans = _stacked(lps)
@@ -427,7 +433,8 @@ def _solve_floats(lps: list[_BuildAlgebra]) -> list:
     bounds = np.zeros((nvars, 2))
     bounds[:, 1] = np.inf
     bounds[margins, 0] = -np.inf
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    options = {} if tol is None else {"primal_feasibility_tolerance": tol}
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=options)
     if res.status != 0:
         return [None] * len(lps)
     duals = res.ineqlin.marginals
@@ -603,18 +610,22 @@ def feasible(
             bound = _active_dual_bound(lp, x, duals)
             if bound is not None and bound <= 0:
                 return result(False, bound, [], "float+dual")
+        # HiGHS may break a row by up to its tolerance 1e-7, which leaves the
+        # row out of the active set; a lone re-solve at _FLOAT_TOL keeps it
         vertex = _active_vertex(lp, x, duals)
+        if vertex is None and (retry := _solve_floats([lp], _FLOAT_TOL)[0]) is not None:
+            vertex = _active_vertex(lp, *retry)
         if vertex is not None:
             opt, v = vertex
             if opt <= 0:
                 return result(False, opt, [], "vertex")
-            # a witness the rules accept, else (replaying) the exact simplex's
-            for xs in _vertex_witnesses(lp, opt, v):
+            if not replay:  # search_best decides its winner again if need be
+                return result(True, opt, [v[i] for i in lp.xvars], "vertex")
+            for xs in _vertex_witnesses(lp, opt):
                 tight = _witness_margin(a, alpha, cc, mode, xs)
                 if tight > 0:
                     return result(True, opt, xs, "vertex", tight)
-            if not replay:  # search_best decides its winner again if need be
-                return result(True, opt, [v[i] for i in lp.xvars], "vertex")
+            return result(True, opt, xs, "vertex")  # the simplex's, to replay as is
 
     margin, xs = _solve_exact(lp)
     if margin is None or margin <= 0:
@@ -647,33 +658,6 @@ def _map_batches(fn, items, workers, *args) -> list:
 
 class BracketError(RuntimeError):
     """Feasibility is not monotone over the chosen bracket."""
-
-
-def _midpoint(lo: Fraction, hi: Fraction) -> Fraction:
-    """A simple rational strictly inside (lo, hi), near the midpoint.
-
-    Keeping denominators small keeps all downstream exact arithmetic cheap;
-    the exact midpoint would double the denominator every bisection step."""
-    mid = (lo + hi) / 2
-    limit = 16
-    while limit <= 10**18:
-        cand = mid.limit_denominator(limit)
-        if lo < cand < hi:
-            return cand
-        limit *= 16
-    return mid
-
-
-def _bisect(pred, lo: Fraction, hi: Fraction, tol: Fraction) -> Fraction:
-    """Midpoint of the bracket [lo, hi], pred true at lo and false at hi, once
-    bisection has narrowed it to width <= tol."""
-    while hi - lo > tol:
-        mid = _midpoint(lo, hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 def _bisect_max(annotations, alpha, tol, mode):

@@ -210,7 +210,7 @@ class TestSearchAndScan:
         assert run(["optimality", "--alpha", "1", "--c", "8/5", "--max-len", "8"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[-2].startswith("38 feasible annotations of length <= 8")
-        assert lines[-1] == "methods: exact=1, float+dual=18, float+primal=37, precondition=89; replay failed: 1"
+        assert lines[-1] == "methods: float+dual=18, float+primal=37, precondition=89, vertex=1; replay failed: 1"
         assert run(["optimality", "--alpha", "1", "--c", "1.4", "--max-len", "3"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[-1] == "methods: float+primal=1; replay failed: 0"
 

@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,13 +120,49 @@ class TestFeasible:
                 assert got == want, (a, cc)
 
     def test_exact_simplex_decides_feasible(self):
-        # the float witness fails the tight check here, so the exact simplex
-        # decides; its margin is reported as is
+        # the float witness fails the tight check here, and so does the
+        # re-solve's: the verified vertex decides, and the replayed witness
+        # is the exact simplex's
         f = feasible("10102100", F(1), F(8, 5))
-        assert f.feasible and f.method == "exact"
+        assert f.feasible and f.method == "vertex"
         lp = _build_lp("10102100", F(1), F(8, 5), TS_MODE)
         assert f.margin == F(881, 9425) == _solve_exact(lp)[0]
+        assert f.witness == _solve_exact(lp)[1]
         assert (f.certificate is None) == (not f.replay_ok)
+
+    def test_verified_vertex_is_final_without_replay(self, monkeypatch):
+        # without replay a verified vertex returns at once, with its own
+        # speedup parameters as witness: no witness re-solve, no simplex.  A
+        # lone LP is solved with a dense matrix
+        calls, linprog = [], search.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["A_ub"])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(search, "linprog", counted)
+        monkeypatch.setattr(simplex, "solve", lambda *args: pytest.fail("exact simplex called"))
+        f = feasible("10102100", F(1), F(8, 5), replay=False)
+        assert (f.feasible, f.method, f.margin) == (True, "vertex", F(881, 9425))
+        assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+
+    def test_simplex_witness_of_vertex_replays(self):
+        # the re-solve gives no witness the rules accept, the exact
+        # simplex's replays; verdict, margin and method stay the vertex's
+        f = feasible("102011000", F(2, 3), F(8, 5))
+        assert (f.feasible, f.method, f.replay_ok) == (True, "vertex", True)
+        lp = _build_lp("102011000", F(2, 3), F(8, 5), TS_MODE)
+        assert (f.margin, f.witness) == _solve_exact(lp)
+        assert verify_proof(f.certificate).contradiction
+
+    def test_near_zero_margin_vertex_verifies_on_retry(self):
+        # near c* HiGHS breaks rows 7, 9 and 26 by ~1e-8, inside its default
+        # tolerance 1e-7, so its active set misses them; the re-solve at
+        # tolerance _FLOAT_TOL verifies the LP optimum without the simplex
+        a, cc = "102110020", F(67040, 41433)
+        f = feasible(a, F(1), cc, replay=False)
+        assert (f.feasible, f.method) == (True, "vertex")
+        assert f.margin == F(209, 2777668320) == _solve_exact(_build_lp(a, F(1), cc, TS_MODE))[0]
 
     def test_infeasible_vertex_margin_is_lp_optimum(self):
         # c is a convergent of sqrt(2) just above it: the float margin is
