@@ -25,25 +25,18 @@ from .grover import (
     success_probability,
 )
 from .kernel import (
-    BACTRIAN,
     BP_TS,
     BPTS_MODE,
     DET_TS,
-    DROMEDARY,
     EXISTS,
     FORALL,
     TS_MODE,
     AltClass,
     AnnotationError,
     Block,
-    BlockDecomposition,
-    Camel,
     ClassError,
     ValidityReport,
-    annotation_heights,
     check_orderly,
-    classify_camels,
-    decompose_blocks,
     enumerate_annotations,
     format_class,
     format_rational,

@@ -70,7 +70,8 @@ def _bisect(pred, lo: Fraction, hi: Fraction, tol: Fraction) -> Fraction:
 def real_roots_cubic(p: Cubic, tol: float = DEFAULT_TOL) -> list[float]:
     """All real roots, ascending, each within tol."""
     # Bracket using the critical points (floats suffice for bracketing; the
-    # sign tests and the bisection itself are exact rational).
+    # sign tests and the bisection itself are exact rational).  Cauchy's bound
+    # is strict, so p(+-bound) != 0 and a root at a cut is a critical point.
     bound = 1 + max(abs(p.c2), abs(p.c1), abs(p.c0)) / abs(p.c3)
     a, b, c = 3 * p.c3, 2 * p.c2, p.c1
     disc = float(b * b - 4 * a * c)
@@ -90,9 +91,6 @@ def real_roots_cubic(p: Cubic, tol: float = DEFAULT_TOL) -> list[float]:
         if flo * fhi < 0:
             root = _bisect(lambda x: (p(x) > 0) == (flo > 0), lo, hi, Fraction(tol) / 4)
             roots.append(float(root))
-    fb = p(Fraction(bound))
-    if fb == 0:
-        roots.append(float(bound))
     out: list[float] = []
     for r in sorted(roots):
         if not out or abs(r - out[-1]) > 10 * tol:

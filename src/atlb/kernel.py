@@ -3,9 +3,8 @@
 A class is a list of quantifier blocks, a verifier kind, and a verifier-runtime
 exponent d.  All exponents are exact rationals.  Annotations are strings over
 {0, 1, 2} (slowdown / speedup / squiggle) whose validity is a quantifier-height
-condition; this module also provides the annotation-graph combinatorics (block
-decomposition, camel classification) and the deterministic enumerator used by
-the search module.
+condition; this module also provides the deterministic enumerator used by the
+search module.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ BP_TS = "BPTS"
 
 TS_MODE = "ts"
 BPTS_MODE = "bpts"
-
-DROMEDARY = "DROMEDARY"
-BACTRIAN = "BACTRIAN"
 
 
 class ClassError(ValueError):
@@ -221,15 +217,6 @@ def validate_annotation(a: str, mode: str = TS_MODE) -> ValidityReport:
     return ValidityReport(True, complete, tuple(points), None)
 
 
-def annotation_heights(a: str, mode: str = TS_MODE) -> tuple[tuple[int, int], ...]:
-    """Exact height sequence (t, h(t)); raises AnnotationError if invalid."""
-    report = validate_annotation(a, mode)
-    if not report.valid:
-        t, msg = report.first_error
-        raise AnnotationError(f"invalid annotation at step {t}: {msg}")
-    return report.heights
-
-
 def enumerate_annotations(max_len: int, mode: str = TS_MODE):
     """Yield every valid complete annotation of length <= max_len exactly once.
 
@@ -259,111 +246,3 @@ def enumerate_annotations(max_len: int, mode: str = TS_MODE):
     for length in range(1, max_len + 1):
         yield from extend([], 0, start_ver, False, length)
 
-
-# --- Block decomposition ---------------------------------------------------
-
-_DROMEDARY_SHAPE_RE = re.compile(r"^1+0+(10+)*$")
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Split of a dromedary-shaped annotation: prefix b0 = 1^k 0, then
-    blocks b_k, ..., b_1 of shape (10)*0."""
-
-    b0: str
-    blocks: tuple[str, ...]  # in order b_k, ..., b_1
-
-    def concat(self) -> str:
-        return self.b0 + "".join(self.blocks)
-
-
-def decompose_blocks(a: str) -> BlockDecomposition:
-    if not _DROMEDARY_SHAPE_RE.match(a):
-        raise AnnotationError(f"not of dromedary shape 1^k 0^+ (1 0^+)*: {a!r}")
-    k = 0
-    while a[k] == "1":
-        k += 1
-    b0 = a[: k + 1]
-    rest = a[k + 1 :]
-    blocks = []
-    i = 0
-    while i < len(rest):
-        start = i
-        while rest.startswith("10", i):
-            i += 2
-        if i >= len(rest) or rest[i] != "0":
-            raise AnnotationError(f"suffix block at offset {k + 1 + start} not of shape (10)*0")
-        i += 1
-        blocks.append(rest[start:i])
-    if len(blocks) != k:
-        raise AnnotationError(
-            f"expected {k} suffix blocks for prefix 1^{k}0, found {len(blocks)}"
-        )
-    return BlockDecomposition(b0, tuple(blocks))
-
-
-# --- Camels ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Camel:
-    span: tuple[int, int]  # (start, end) point indices on the flattened graph
-    base: int
-    kind: str
-
-
-def flattened_heights(a: str) -> list[int]:
-    """Height trace with every step counted +1/-1/0 (squiggles collapsed,
-    the extra block of the first speedup ignored)."""
-    heights = [0]
-    for sym in a:
-        delta = {"1": 1, "0": -1, "2": 0}[sym]
-        heights.append(heights[-1] + delta)
-    return heights
-
-
-def _camel_kind(a: str, start: int, end: int) -> str:
-    """Dromedary iff no speedup follows a slowdown inside the span."""
-    seen_down = False
-    for sym in a[start:end]:
-        if sym == "0":
-            seen_down = True
-        elif sym == "1" and seen_down:
-            return BACTRIAN
-    return DROMEDARY
-
-
-def classify_camels(a: str) -> list[Camel]:
-    """Maximal excursions of the flattened graph, recursively.
-
-    At each base level, a camel spans a maximal region where the path stays at
-    or above the base, from its first up-step to its last return to base.
-    Bactrian interiors are decomposed further one level up.  Spans are pairwise
-    disjoint or nested.
-    """
-    heights = flattened_heights(a)
-    camels: list[Camel] = []
-
-    def scan(lo: int, hi: int, base: int):
-        i = lo
-        while i <= hi:
-            # skip to the next up-step leaving the base inside a >= base region
-            if heights[i] != base or i == hi or heights[i + 1] != base + 1:
-                i += 1
-                continue
-            start = i
-            end = i
-            j = i
-            while j < hi and heights[j + 1] >= base:
-                j += 1
-                if heights[j] == base:
-                    end = j
-            if end > start:
-                kind = _camel_kind(a, start, end)
-                camels.append(Camel((start, end), base, kind))
-                if kind == BACTRIAN:
-                    scan(start, end, base + 1)
-            i = j + 1
-    scan(0, len(a), 0)
-    camels.sort(key=lambda c: (c.span[0], -(c.span[1] - c.span[0])))
-    return camels

@@ -42,6 +42,15 @@ class TestRoots:
         assert len(roots) == 1
         assert abs(roots[0] - 2) < 1e-9
 
+    def test_double_root_at_critical_point(self):
+        # (x-1)^2 (x+2) and (x+1)(2x-1)^2: the double root is an exact cut,
+        # found by its zero there and reported once
+        for p, want in ((Cubic(1, 0, -3, 2), (-2, 1)), (Cubic(4, 0, -3, 1), (-1, 0.5))):
+            roots = real_roots_cubic(p)
+            assert len(roots) == 2
+            for got, w in zip(roots, want):
+                assert abs(got - w) < 1e-9
+
     def test_largest_root_x3_x2_1(self):
         assert abs(largest_root_cubic(Cubic(1, -1, 0, -1)) - 1.4655712319) < 1e-9
 

@@ -1,36 +1,28 @@
-"""Kernel: class grammar, annotation heights, enumeration, blocks, camels."""
+"""Kernel: class grammar, annotation heights, enumeration."""
 
 from fractions import Fraction
 
 import pytest
 
 from atlb.kernel import (
-    BACTRIAN,
     BP_TS,
     BPTS_MODE,
     DET_TS,
-    DROMEDARY,
     EXISTS,
     FORALL,
     TS_MODE,
     AltClass,
-    AnnotationError,
     Block,
     ClassError,
-    annotation_heights,
     check_orderly,
-    classify_camels,
-    decompose_blocks,
     enumerate_annotations,
-    flattened_heights,
     format_class,
     parse_class,
     parse_rational,
     validate_annotation,
 )
 
-# A 25-step annotation whose height trace is pinned below; it also carries
-# the nested excursion used in the camel tests.
+# A 25-step annotation whose height trace is pinned below.
 LONG_ANNOTATION = "1111001110010101000110000"
 LONG_HEIGHTS = (0, 2, 3, 4, 5, 4, 3, 4, 5, 6, 5, 4, 5, 4, 5, 4, 5, 4, 3, 2, 3, 4, 3, 2, 1, 0)
 
@@ -104,7 +96,7 @@ class TestCheckOrderly:
 
 class TestAnnotationHeights:
     def test_100(self):
-        assert annotation_heights("100") == ((0, 0), (1, 2), (2, 1), (3, 0))
+        assert validate_annotation("100").heights == ((0, 0), (1, 2), (2, 1), (3, 0))
 
     def test_lone_slowdown_invalid(self):
         report = validate_annotation("0")
@@ -112,7 +104,7 @@ class TestAnnotationHeights:
         assert "no quantifier" in report.first_error[1]
 
     def test_long_annotation_trace(self):
-        heights = annotation_heights(LONG_ANNOTATION)
+        heights = validate_annotation(LONG_ANNOTATION).heights
         assert heights == tuple(enumerate(LONG_HEIGHTS))
 
     def test_bpts_randomized_speedup_adds_extra_block(self):
@@ -132,7 +124,7 @@ class TestAnnotationHeights:
         assert validate_annotation("1000", BPTS_MODE).complete
 
     def test_squiggle_is_height_neutral(self):
-        assert annotation_heights("1020")[-1] == (4, 0)
+        assert validate_annotation("1020").heights[-1] == (4, 0)
 
     def test_squiggle_on_randomized_verifier_invalid(self):
         # right after '1' the verifier is deterministic, so '2' is fine; a
@@ -141,8 +133,9 @@ class TestAnnotationHeights:
         assert not validate_annotation("102", BPTS_MODE).valid
 
     def test_invalid_raises(self):
-        with pytest.raises(AnnotationError):
-            annotation_heights("1000")  # ts mode: goes below zero
+        report = validate_annotation("1000")  # ts mode: goes below zero
+        assert not report.valid
+        assert report.first_error == (3, "slowdown with no quantifier")
 
 
 def _brute_force(max_len, mode):
@@ -185,62 +178,3 @@ class TestEnumerateAnnotations:
             report = validate_annotation(a, TS_MODE)
             assert report.valid and report.complete
 
-
-class TestDecomposeBlocks:
-    def test_appendix_example(self):
-        d = decompose_blocks("111110001010101010100101010100100")
-        assert d.b0 == "111110"
-        assert d.blocks == ("0", "0", "1010101010100", "101010100", "100")
-
-    def test_minimal(self):
-        d = decompose_blocks("100")
-        assert d.b0 == "10"
-        assert d.blocks == ("0",)
-
-    def test_110100100(self):
-        d = decompose_blocks("110100100")
-        assert d.b0 == "110"
-        assert d.blocks == ("100", "100")
-
-    def test_concat_round_trip(self):
-        for a in ("100", "110100100", "111110001010101010100101010100100"):
-            assert decompose_blocks(a).concat() == a
-
-    def test_shape_mismatch(self):
-        with pytest.raises(AnnotationError):
-            decompose_blocks("1020")
-        with pytest.raises(AnnotationError):
-            decompose_blocks("11010")  # trailing 10 without a closing slowdown
-
-
-class TestCamels:
-    def test_flattened_heights(self):
-        assert flattened_heights("1100") == [0, 1, 2, 1, 0]
-        assert flattened_heights("1020") == [0, 1, 0, 0, -1]
-
-    def test_single_dromedary(self):
-        camels = classify_camels("11000")
-        assert [(c.span, c.base, c.kind) for c in camels] == [((0, 4), 0, DROMEDARY)]
-
-    def test_bactrian(self):
-        camels = classify_camels("1101000")
-        assert camels[0].kind == BACTRIAN
-        assert camels[0].span == (0, 6)
-
-    def test_nested_excursion(self):
-        # the highlighted excursion of LONG_ANNOTATION: steps 2..18, two
-        # levels above the outermost camel
-        camels = classify_camels(LONG_ANNOTATION)
-        spans = {(c.span, c.base, c.kind) for c in camels}
-        assert ((2, 18), 2, BACTRIAN) in spans
-
-    def test_spans_disjoint_or_nested(self):
-        for a in ("11000", "1101000", LONG_ANNOTATION):
-            camels = classify_camels(a)
-            for c1 in camels:
-                for c2 in camels:
-                    s1, e1 = c1.span
-                    s2, e2 = c2.span
-                    nested = (s1 <= s2 and e2 <= e1) or (s2 <= s1 and e1 <= e2)
-                    disjoint = e1 <= s2 or e2 <= s1
-                    assert nested or disjoint

@@ -15,8 +15,6 @@ from atlb.kernel import (
     AltClass,
     Block,
     check_orderly,
-    classify_camels,
-    decompose_blocks,
     enumerate_annotations,
     format_class,
     parse_class,
@@ -116,25 +114,6 @@ class TestAnnotations:
         rep = validate_annotation(a, TS_MODE)
         if rep.complete:
             assert rep.valid and "1" in a
-
-    @given(st.integers(1, 4), st.lists(st.integers(1, 3), min_size=0, max_size=4))
-    def test_block_decomposition_concat(self, k, tails):
-        # build a dromedary-shaped word 1^k 0^j (10^j)* with k suffix blocks
-        blocks = ["10" * t + "0" for t in range(1, k + 1)]
-        a = "1" * k + "0" + "".join(blocks)
-        dec = decompose_blocks(a)
-        assert dec.concat() == a
-        assert len(dec.blocks) == k
-
-    @given(st.sampled_from(list(enumerate_annotations(8, TS_MODE))))
-    def test_camel_spans_disjoint_or_nested(self, a):
-        spans = [c.span for c in classify_camels(a)]
-        for i, (s1, e1) in enumerate(spans):
-            assert s1 < e1
-            for s2, e2 in spans[i + 1 :]:
-                disjoint = e1 <= s2 or e2 <= s1
-                nested = (s1 <= s2 and e2 <= e1) or (s2 <= s1 and e1 <= e2)
-                assert disjoint or nested
 
 
 def _gauss_jordan(a_rows, b):
