@@ -15,11 +15,12 @@ writes to OUT, one line each:
 - best_exponent's bisection (tol 1e-7) of each of the 170 ts annotations
   of length <= 10 without '12' or '22' at alpha = 1: annotation, c*, and
   its decisions per method;
-- the calls to HiGHS (search.linprog) and to the exact simplex
-  (simplex.solve) of each part.
+- the calls to HiGHS (search.linprog), to the exact simplex (simplex.solve)
+  and to the rules (apply_step, as bound in atlb.rules and atlb.search) of
+  each part.
 
-Run it in a checkout of each tree and diff the two files.  It takes a few
-minutes.
+Run it in a checkout of each tree and diff the two files.  It takes about a
+minute.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from atlb import search, simplex
+from atlb import rules, search, simplex
 from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
 from atlb.rules import verify_proof
 
@@ -54,10 +55,15 @@ def main(out_path: str) -> None:
     calls: Counter = Counter()
     counted(search, "linprog", calls)
     counted(simplex, "solve", calls)
+    for module in (rules, search):
+        counted(module, "apply_step", calls)
     lines = []
 
     def part_done(name):
-        lines.append(f"calls {name}: linprog={calls['linprog']} simplex={calls['solve']}")
+        lines.append(
+            f"calls {name}: linprog={calls['linprog']} simplex={calls['solve']} "
+            f"apply_step={calls['apply_step']}"
+        )
         calls.clear()
 
     for alpha in ALPHAS:

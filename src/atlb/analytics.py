@@ -67,8 +67,8 @@ def _bisect(pred, lo: Fraction, hi: Fraction, tol: Fraction) -> Fraction:
     return (lo + hi) / 2
 
 
-def real_roots_cubic(p: Cubic, tol: float = DEFAULT_TOL) -> list[float]:
-    """All real roots, ascending, each within tol."""
+def real_roots_cubic(p: Cubic) -> list[float]:
+    """All real roots, ascending, each within DEFAULT_TOL."""
     # Bracket using the critical points (floats suffice for bracketing; the
     # sign tests and the bisection itself are exact rational).  Cauchy's bound
     # is strict, so p(+-bound) != 0 and a root at a cut is a critical point.
@@ -89,28 +89,28 @@ def real_roots_cubic(p: Cubic, tol: float = DEFAULT_TOL) -> list[float]:
         if flo == 0:
             roots.append(float(lo))
         if flo * fhi < 0:
-            root = _bisect(lambda x: (p(x) > 0) == (flo > 0), lo, hi, Fraction(tol) / 4)
+            root = _bisect(lambda x: (p(x) > 0) == (flo > 0), lo, hi, Fraction(DEFAULT_TOL) / 4)
             roots.append(float(root))
     out: list[float] = []
     for r in sorted(roots):
-        if not out or abs(r - out[-1]) > 10 * tol:
+        if not out or abs(r - out[-1]) > 10 * DEFAULT_TOL:
             out.append(r)
     return out
 
 
-def largest_root_cubic(p: Cubic, tol: float = DEFAULT_TOL) -> float:
-    roots = real_roots_cubic(p, tol)
+def largest_root_cubic(p: Cubic) -> float:
+    roots = real_roots_cubic(p)
     if not roots:
         raise ValueError("no real root bracketed")
     return roots[-1]
 
 
-def p_alpha_roots(alpha: Fraction, tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
+def p_alpha_roots(alpha: Fraction) -> tuple[float, float, float]:
     """All three real roots of P_alpha, descending."""
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha out of range (0, 1]: {alpha}")
-    roots = real_roots_cubic(p_alpha(alpha), tol)
+    roots = real_roots_cubic(p_alpha(alpha))
     if len(roots) != 3:
         raise ValueError(f"expected three real roots for alpha={alpha}, found {len(roots)}")
     r3, r2, r1 = roots

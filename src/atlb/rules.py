@@ -2,14 +2,15 @@
 
 Every rule is a pure function from an alternating class to a new one; all
 arithmetic is exact rational.  A proof certificate is the initial class plus a
-list of rule applications; the verifier re-derives every line and decides
-whether the chain shows a contradiction (a return to a class of the same shape
-with no larger exponents, using at least one speedup).
+list of rule applications.  One loop (derive) applies a step list: it
+assembles certificates, and the verifier checks every stated line against it
+and decides whether the chain shows a contradiction (a return to a class of
+the same shape with no larger exponents, using at least one speedup).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import (
@@ -259,47 +260,53 @@ def _matches_contradiction(first: AltClass, last: AltClass) -> bool:
     return last.d <= first.d
 
 
-def verify_proof(p: ProofCertificate) -> ProofReport:
-    """Re-derive every line exactly and decide validity and contradiction."""
+def derive(
+    alpha: Fraction, cc: Fraction, mode: str, first: AltClass, steps: list[RuleStep]
+) -> tuple[list[AltClass], ProofReport]:
+    """The classes the steps derive in turn from the first one, up to the
+    first failing step, and the report of that derivation: the one loop over
+    a step list, which both assembles and verifies certificates."""
+    classes = [first]
     squiggles: list[tuple[int, int, bool]] = []
+    for i, step in enumerate(steps, start=1):
+        try:
+            cur, sq = apply_step(classes[-1], step, alpha, cc, mode)
+        except (RuleError, ValueError) as exc:
+            error = (i, f"step {i} ({step.rule}): {exc}")
+            return classes, ProofReport(False, False, error, None, tuple(squiggles))
+        if sq is not None:
+            squiggles.append((i, *sq))
+        classes.append(cur)
+    used_speedup = any(s.rule.startswith("speedup") for s in steps) or any(q[1] for q in squiggles)
+    last = classes[-1]
+    contradiction = len(steps) >= 2 and used_speedup and _matches_contradiction(first, last)
+    return classes, ProofReport(True, contradiction, None, last.d, tuple(squiggles))
 
-    def fail(line: int, message: str) -> ProofReport:
-        return ProofReport(False, False, (line, message), None, tuple(squiggles))
+
+def verify_proof(p: ProofCertificate) -> ProofReport:
+    """Re-derive every line exactly and decide validity and contradiction.
+    The first error is a failing header check (line 0), else the first
+    stated class that differs from its derivation or the first failing step."""
+
+    def fail(message: str) -> ProofReport:
+        return ProofReport(False, False, (0, message), None)
 
     if not (0 < p.alpha <= 1 < p.c):
-        return fail(0, f"parameter range 0 < alpha <= 1 < c fails: alpha={p.alpha}, c={p.c}")
+        return fail(f"parameter range 0 < alpha <= 1 < c fails: alpha={p.alpha}, c={p.c}")
     uses_grover = any(s.rule == "grover" for s in p.steps)
     expected = expected_assumption(p.mode, uses_grover)
     if p.assumption != expected:
-        return fail(0, f"assumption {p.assumption!r} inconsistent with mode/rules (expected {expected!r})")
+        return fail(f"assumption {p.assumption!r} inconsistent with mode/rules (expected {expected!r})")
     start_ver = BP_TS if p.mode == BPTS_MODE else DET_TS
     if p.classes[0].verifier != start_ver:
-        return fail(0, f"initial class verifier {p.classes[0].verifier} does not match mode {p.mode}")
-    cur = p.classes[0]
-    used_speedup = False
-    for i, step in enumerate(p.steps, start=1):
-        try:
-            cur, sq = apply_step(cur, step, p.alpha, p.c, p.mode)
-        except (RuleError, ValueError) as exc:
-            return fail(i, f"step {i} ({step.rule}): {exc}")
-        if sq is not None:
-            squiggles.append((i, sq[0], sq[1]))
-            if sq[0] >= 1:
-                used_speedup = True
-        elif step.rule.startswith("speedup"):
-            used_speedup = True
-        if cur != p.classes[i]:
-            return fail(
-                i,
-                f"class {i} mismatch: stated {format_class(p.classes[i])}, "
-                f"derived {format_class(cur)}",
-            )
-    contradiction = (
-        len(p.steps) >= 2
-        and used_speedup
-        and _matches_contradiction(p.classes[0], p.classes[-1])
-    )
-    return ProofReport(True, contradiction, None, cur.d, tuple(squiggles))
+        return fail(f"initial class verifier {p.classes[0].verifier} does not match mode {p.mode}")
+    derived, report = derive(p.alpha, p.c, p.mode, p.classes[0], p.steps)
+    for i, (stated, cur) in enumerate(zip(p.classes[1:], derived[1:]), start=1):
+        if stated != cur:
+            squiggles = tuple(q for q in report.squiggles if q[0] <= i)
+            message = f"class {i} mismatch: stated {format_class(stated)}, derived {format_class(cur)}"
+            return ProofReport(False, False, (i, message), None, squiggles)
+    return report
 
 
 # --- Certificate file format ------------------------------------------------
@@ -374,10 +381,7 @@ def parse_certificate(text: str) -> ProofCertificate:
                 raise CertificateError(f"line {lineno}: {exc}") from exc
         else:
             raise CertificateError(f"line {lineno}: expected 'class i:' or 'step i:', got {line!r}")
-    try:
-        return ProofCertificate(alpha, cc, mode, assumption, classes, steps)
-    except CertificateError as exc:
-        raise CertificateError(str(exc)) from exc
+    return ProofCertificate(alpha, cc, mode, assumption, classes, steps)
 
 
 def _parse_index(head: str, kind: str, lineno: int) -> int:

@@ -6,7 +6,8 @@ a variable bounded below by each argument of its max, strict rule
 preconditions get a common margin variable that is maximized, constant floors
 are dropped (homogeneous form) and the initial d = 1 fixes the scale.  The
 annotation is feasible iff the maximal margin is positive; a positive
-answer is replayed once through the exact rules at a large concrete d.
+answer is replayed through the exact rules at a large concrete d, in one
+derivation (rules.derive) that builds the certificate and checks it.
 
 The float LP (scipy/HiGHS) only steers: a feasible answer is certified by an
 exact rational witness check, an infeasible one by exact weak-duality
@@ -14,23 +15,22 @@ multipliers solved on the float solution's active set (one dual path).  When
 neither certifies, the active set itself is checked exactly: its rows solved
 as equalities give a vertex, and when the vertex satisfies every row and its
 margin equals the dual bound on the same set, that margin is the exact LP
-optimum and the verdict is final (method "vertex").  A vertex that does not
-verify gets one lone float re-solve at a tighter feasibility tolerance.
-Unreplayed, a feasible vertex's witness is its own speedup parameters; a
-replayed one takes those of one float re-solve toward the tight maxima if
-the rules accept them, else the exact simplex's.  Only when no vertex
-verifies, or the float solve does not end optimal, does one exact rational
-simplex solve decide (method "exact").  The float LPs are solved in
-batches: the LPs of a batch share no variable and no row, so they stack into
-one block-diagonal LP whose objective is the sum of their margins, and its
-optimum and duals split into those of each block.  Scans and searches cut
-their annotations into fixed batches; a process pool spreads whole batches,
-so the number of workers changes no answer.  Bisection over c
-(best_exponent, search_best) bisects one bracket per batch for the largest
-best exponent of its annotations: each midpoint decides, in one float solve
-and without replay, the annotations still level with the best, and drops
-those that fall behind; search_best replays only the winner's last feasible
-witness, and decides the winner again if the rules reject it.
+optimum and the verdict is final (method "vertex").  Unreplayed, a feasible
+vertex's witness is its own speedup parameters; a replayed one takes those
+of one float re-solve toward the tight maxima if the rules accept them, else
+the exact simplex's.  Only when no vertex verifies, or the float solve does
+not end optimal, does one exact rational simplex solve decide (method
+"exact").  The float LPs are solved in batches: the LPs of a batch share no
+variable and no row, so they stack into one block-diagonal LP whose
+objective is the sum of their margins, and its optimum and duals split into
+those of each block.  Scans and searches cut their annotations into fixed
+batches; a process pool spreads whole batches, so the number of workers
+changes no answer.  Bisection over c (best_exponent, search_best) bisects
+one bracket per batch for the largest best exponent of its annotations: each
+midpoint decides, in one float solve and without replay, the annotations
+still level with the best, and drops those that fall behind; search_best
+replays only the winner's last feasible witness, and decides the winner
+again if the rules reject it.
 
 The named constructors (good_proof, bpts_proof) are annotation certificates
 of fixed annotations with geometric speedup parameters; every certificate is
@@ -64,9 +64,11 @@ from .kernel import (
 )
 from .rules import (
     ProofCertificate,
+    ProofReport,
     RuleError,
     RuleStep,
     apply_step,
+    derive,
     expected_assumption,
     verify_proof,
 )
@@ -76,6 +78,8 @@ _MARGIN = 0
 
 _FLOAT_TOL = 1e-9
 _DUAL_TOL = 1e-11  # a row dual below -_DUAL_TOL is nonzero
+# at HiGHS's default 1e-7 a row broken by ~1e-8 drops out of the active set
+_HIGHS = {"primal_feasibility_tolerance": _FLOAT_TOL}
 
 # LPs per float solve in scans and bisection rounds.  On a 2-vCPU Xeon a
 # lone solve takes 3-4 ms, nearly all of it linprog's per-call overhead; per
@@ -381,7 +385,7 @@ def _vertex_witnesses(lp: _BuildAlgebra, opt: Fraction):
     c = np.ones(lp.nvars)
     c[[_MARGIN, *lp.xvars]] = 0.0
     bounds = [(float(opt / 2), None)] + [(0, None)] * (lp.nvars - 1)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_HIGHS)
     if res.status == 0:
         yield _rounded(lp, res.x)
     yield _solve_exact(lp)[1]
@@ -414,11 +418,10 @@ def _stacked(lps: list[_BuildAlgebra]):
     return (a_ub.toarray() if len(lps) == 1 else a_ub), b_ub, spans
 
 
-def _solve_floats(lps: list[_BuildAlgebra], tol: float | None = None) -> list:
+def _solve_floats(lps: list[_BuildAlgebra]) -> list:
     """Float solution (x, row duals) of each LP, from one HiGHS solve of the
     block-diagonal LP that maximizes the sum of their margins; None for every
-    block when that solve does not end optimal.  tol, if given, is HiGHS's
-    primal feasibility tolerance (default 1e-7).
+    block when that solve does not end optimal.
 
     The blocks share no variable and no row, so an optimum of the sum is an
     optimum of each block, and the duals of a block's rows are duals of its
@@ -433,8 +436,7 @@ def _solve_floats(lps: list[_BuildAlgebra], tol: float | None = None) -> list:
     bounds = np.zeros((nvars, 2))
     bounds[:, 1] = np.inf
     bounds[margins, 0] = -np.inf
-    options = {} if tol is None else {"primal_feasibility_tolerance": tol}
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=options)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_HIGHS)
     if res.status != 0:
         return [None] * len(lps)
     duals = res.ineqlin.marginals
@@ -483,7 +485,12 @@ def annotation_certificate(
     a: str, alpha: Fraction, cc: Fraction, mode: str, xs: list[Fraction], d0: Fraction
 ) -> ProofCertificate:
     """Apply the annotation's rules at concrete scale d0 with the given
-    speedup parameters (one per '1').  The height trace names each speedup:
+    speedup parameters (one per '1')."""
+    return _run_steps(alpha, cc, mode, d0, _annotation_steps(a, mode, xs))[0]
+
+
+def _annotation_steps(a: str, mode: str, xs: list[Fraction]) -> list[RuleStep]:
+    """The annotation's rule steps.  The height trace names each speedup:
     randomized on a randomized verifier, first at height 0, else usual."""
     h, ver = 0, BP_TS if mode == BPTS_MODE else DET_TS
     steps: list[RuleStep] = []
@@ -498,18 +505,19 @@ def annotation_certificate(
         else:
             steps.append(RuleStep("squiggle"))
         h, ver = _step_height(h, ver, sym, mode)
-    return _run_steps(alpha, cc, mode, d0, steps)
+    return steps
 
 
-def _run_steps(alpha, cc, mode, d0, steps) -> ProofCertificate:
-    """The certificate of the steps applied from the empty class at d0."""
-    cls = AltClass((), BP_TS if mode == BPTS_MODE else DET_TS, Fraction(d0))
-    classes = [cls]
-    for step in steps:
-        cls, _ = apply_step(cls, step, alpha, cc, mode)
-        classes.append(cls)
+def _run_steps(alpha, cc, mode, d0, steps) -> tuple[ProofCertificate, ProofReport]:
+    """The certificate of the steps applied from the empty class at d0, and
+    the report of that one derivation: verify_proof's when 0 < alpha <= 1 < c.
+    RuleError names the first failing step."""
+    first = AltClass((), BP_TS if mode == BPTS_MODE else DET_TS, Fraction(d0))
+    classes, report = derive(alpha, cc, mode, first, steps)
+    if not report.valid:
+        raise RuleError(report.first_error[1])
     assumption = expected_assumption(mode, any(s.rule == "grover" for s in steps))
-    return ProofCertificate(alpha, cc, mode, assumption, classes, steps)
+    return ProofCertificate(alpha, cc, mode, assumption, classes, steps), report
 
 
 def grover_certificate(cert: ProofCertificate) -> ProofCertificate:
@@ -519,7 +527,7 @@ def grover_certificate(cert: ProofCertificate) -> ProofCertificate:
     if cert.mode != TS_MODE or cert.alpha != Fraction(2, 3):
         raise ValueError(f"grover needs mode ts, alpha 2/3: mode={cert.mode}, alpha={cert.alpha}")
     steps = [RuleStep("grover") if s.rule == "slowdown" else s for s in cert.steps]
-    return _run_steps(cert.alpha, cert.c, cert.mode, cert.classes[0].d, steps)
+    return _run_steps(cert.alpha, cert.c, cert.mode, cert.classes[0].d, steps)[0]
 
 
 def _replay(a, alpha, cc, mode, xs, margin):
@@ -535,13 +543,11 @@ def _replay(a, alpha, cc, mode, xs, margin):
         base = max(base, int(2 / (alpha * margin)) + 1)
     d0 = Fraction(base)
     try:
-        cert = annotation_certificate(a, alpha, cc, mode, [x * d0 for x in xs], d0)
+        steps = _annotation_steps(a, mode, [x * d0 for x in xs])
+        cert, report = _run_steps(alpha, cc, mode, d0, steps)
     except (RuleError, ValueError):
         return False, None
-    report = verify_proof(cert)
-    if report.valid and report.contradiction:
-        return True, cert
-    return False, None
+    return (True, cert) if report.contradiction else (False, None)
 
 
 def _check_params(alpha, cc=None, tol=None):
@@ -610,12 +616,7 @@ def feasible(
             bound = _active_dual_bound(lp, x, duals)
             if bound is not None and bound <= 0:
                 return result(False, bound, [], "float+dual")
-        # HiGHS may break a row by up to its tolerance 1e-7, which leaves the
-        # row out of the active set; a lone re-solve at _FLOAT_TOL keeps it
-        vertex = _active_vertex(lp, x, duals)
-        if vertex is None and (retry := _solve_floats([lp], _FLOAT_TOL)[0]) is not None:
-            vertex = _active_vertex(lp, *retry)
-        if vertex is not None:
+        if (vertex := _active_vertex(lp, x, duals)) is not None:
             opt, v = vertex
             if opt <= 0:
                 return result(False, opt, [], "vertex")
@@ -850,9 +851,9 @@ def good_proof_best_c(alpha: Fraction, k: int, tol: Fraction = Fraction(1, 10**7
     return _bisect(lambda c: good_proof_contradicts(alpha, c, k), lo, prev, tol)
 
 
-def good_proof_limit(alpha: Fraction, tol: float = 1e-12) -> float:
+def good_proof_limit(alpha: Fraction) -> float:
     """k -> infinity limit of the Good-proof bound: largest root of P_alpha."""
-    return largest_root_cubic(p_alpha(Fraction(alpha)), tol)
+    return largest_root_cubic(p_alpha(Fraction(alpha)))
 
 
 def bpts_proof(k: int, cc: Fraction, d: Fraction | None = None) -> ProofCertificate:
@@ -881,14 +882,8 @@ def bpts_grover_proof(cc: Fraction, d: Fraction | None = None) -> ProofCertifica
     if cc <= 1:
         raise ValueError(f"need c > 1: c={cc}")
     d0 = max(Fraction(d) if d is not None else Fraction(10), Fraction(10))
-    steps = [
-        RuleStep("speedup_rand", Fraction(2, 3) * d0),
-        RuleStep("slowdown"),
-        RuleStep("slowdown"),
-    ]
-    cls = AltClass((), BP_TS, d0)
-    for step in steps:
-        cls, _ = apply_step(cls, step, Fraction(1), cc, BPTS_MODE)
+    steps = [RuleStep("speedup_rand", 2 * d0 / 3)] + [RuleStep("slowdown")] * 2
+    cls = derive(Fraction(1), cc, BPTS_MODE, AltClass((), BP_TS, d0), steps)[0][-1]
     for _ in range(10**5):
         if cc * cls.d <= d0:
             break  # the final slowdown already lands at or below d0
@@ -898,7 +893,7 @@ def bpts_grover_proof(cc: Fraction, d: Fraction | None = None) -> ProofCertifica
         steps.append(RuleStep("grover"))
         cls = nxt
     steps.append(RuleStep("slowdown"))
-    return _run_steps(Fraction(1), cc, BPTS_MODE, d0, steps)
+    return _run_steps(Fraction(1), cc, BPTS_MODE, d0, steps)[0]
 
 
 # --- Optimality scan --------------------------------------------------------

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
-from atlb import search, simplex
+from atlb import rules, search, simplex
 from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
-from atlb.rules import format_certificate, verify_proof
+from atlb.rules import RuleStep, format_certificate, verify_proof
 from atlb.search import (
     _CONST,
     _MARGIN,
@@ -155,14 +155,20 @@ class TestFeasible:
         assert (f.margin, f.witness) == _solve_exact(lp)
         assert verify_proof(f.certificate).contradiction
 
-    def test_near_zero_margin_vertex_verifies_on_retry(self):
-        # near c* HiGHS breaks rows 7, 9 and 26 by ~1e-8, inside its default
-        # tolerance 1e-7, so its active set misses them; the re-solve at
-        # tolerance _FLOAT_TOL verifies the LP optimum without the simplex
+    def test_near_zero_margin_decided_on_first_solve(self, monkeypatch):
+        # near c* the margin is ~1e-8.  At HiGHS's default tolerance 1e-7 the
+        # solution breaks rows 7, 9 and 26 by ~1e-8; at _FLOAT_TOL its rounded
+        # witness already has an exact positive margin: one linprog call, no
+        # simplex
         a, cc = "102110020", F(67040, 41433)
+        calls, linprog = [], search.linprog
+        monkeypatch.setattr(search, "linprog", lambda *a, **k: calls.append(1) or linprog(*a, **k))
+        monkeypatch.setattr(simplex, "solve", lambda *args: pytest.fail("exact simplex called"))
         f = feasible(a, F(1), cc, replay=False)
-        assert (f.feasible, f.method) == (True, "vertex")
-        assert f.margin == F(209, 2777668320) == _solve_exact(_build_lp(a, F(1), cc, TS_MODE))[0]
+        assert (f.feasible, f.method, len(calls)) == (True, "float+primal", 1)
+        assert f.margin == _witness_margin(a, F(1), cc, TS_MODE, f.witness)
+        monkeypatch.undo()
+        assert 0 < f.margin <= F(209, 2777668320) == _solve_exact(_build_lp(a, F(1), cc, TS_MODE))[0]
 
     def test_infeasible_vertex_margin_is_lp_optimum(self):
         # c is a convergent of sqrt(2) just above it: the float margin is
@@ -515,6 +521,76 @@ class TestGroverCertificate:
             grover_certificate(bpts_proof(3, F(7, 5)))
 
 
+class TestOneDerivation:
+    """A certificate is derived once (search._run_steps over rules.derive),
+    and that pass's report is the verifier's."""
+
+    def test_scan_certificates_report_as_verified(self, monkeypatch):
+        built, run_steps = [], search._run_steps
+
+        def recorded(*args):
+            built.append(run_steps(*args))
+            return built[-1]
+
+        monkeypatch.setattr(search, "_run_steps", recorded)
+        scan = optimality_scan(F(1), F(8, 5), 8)
+        monkeypatch.undo()
+        feasible_entries = scan.feasible_entries
+        assert feasible_entries and len(built) == len(feasible_entries)
+        assert scan.replay_failed == 1  # 10102100: derived, not a contradiction
+        for cert, report in built:
+            assert report == verify_proof(cert)
+        kept = [f.certificate for f in feasible_entries if f.replay_ok]
+        assert all(any(cert is c for c, _ in built) for cert in kept)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: good_proof(F(1), F(3, 2), 3),
+            lambda: good_proof(F(1), F(19, 10), 2),  # valid, no contradiction
+            lambda: bpts_proof(10, F(7, 5)),
+            lambda: bpts_grover_proof(F(13, 10)),
+            lambda: bpts_grover_proof(F(17, 10)),
+            lambda: grover_certificate(feasible("1102020", F(2, 3), F(2)).certificate),
+        ],
+    )
+    def test_named_certificates_report_as_verified(self, make):
+        cert = make()
+        rederived, report = search._run_steps(cert.alpha, cert.c, cert.mode, cert.classes[0].d, cert.steps)
+        assert rederived == cert
+        assert report == verify_proof(cert)
+
+    @pytest.mark.parametrize(
+        "a, alpha, cc", [("100", F(1), F(7, 5)), ("1102020", F(2, 3), F(2)), ("10102100", F(1), F(1517, 1000))]
+    )
+    def test_replay_applies_each_step_once(self, a, alpha, cc, monkeypatch):
+        calls, apply_step = [], rules.apply_step
+        monkeypatch.setattr(rules, "apply_step", lambda *args: calls.append(1) or apply_step(*args))
+        monkeypatch.setattr(search, "verify_proof", lambda p: pytest.fail("verify_proof called"))
+        f = feasible(a, alpha, cc)
+        assert f.replay_ok
+        assert len(calls) == len(f.certificate.steps)
+
+    def test_first_error_is_earliest_of_mismatch_and_failing_step(self):
+        # a stated class that differs comes before a later failing step; the
+        # squiggles reported are those of the steps up to the first error
+        cert = good_proof(F(1), F(3, 2), 2)
+        squiggles = [j for j, s in enumerate(cert.steps, start=1) if s.rule == "squiggle"]
+        last = len(cert.steps)
+        steps = cert.steps[:-1] + [RuleStep("speedup_first", F(1))]  # needs no quantifier
+        rep = verify_proof(dataclasses.replace(cert, steps=steps))
+        assert not rep.valid and rep.first_error[0] == last
+        assert rep.first_error[1].startswith(f"step {last} (speedup_first): ")
+        assert [j for j, _, _ in rep.squiggles] == squiggles
+        i = squiggles[0] + 1
+        classes = list(cert.classes)
+        classes[i] = dataclasses.replace(classes[i], d=classes[i].d + 1)
+        rep = verify_proof(dataclasses.replace(cert, classes=classes, steps=steps))
+        assert not rep.valid and rep.first_error[0] == i
+        assert rep.first_error[1].startswith(f"class {i} mismatch")
+        assert [j for j, _, _ in rep.squiggles] == squiggles[:1]
+
+
 class TestOptimalityScan:
     def test_scan_below_sqrt2_finds_100(self):
         rep = optimality_scan(F(1), F(7, 5), 3)
@@ -672,14 +748,18 @@ def test_scan_prove_needs_no_exact_simplex(monkeypatch):
 def test_perfbench_tracer_binds_search():
     # perfbench/tracing.py wraps these functions by attribute name; a missing
     # one breaks the traced benchmark with AttributeError.  It counts one
-    # decision per feasible span, and batches solve many in one linprog.
+    # decision per feasible span, and batches solve many in one linprog.  A
+    # scan's replays derive each certificate once, without verify_proof;
+    # good_proof_contradicts verifies the certificate it builds.
     tracer = _load_perfbench("tracing").Tracer()
     with tracer.installed():
         report = optimality_scan(F(1), F(7, 5), 5)
+        search.good_proof_contradicts(F(1), F(3, 2), 2)
     names = [span[0] for span in tracer.spans]
     assert {"feasible", "linprog", "apply_step", "verify_proof"} <= set(names)
     assert names.count("feasible") == report.total
     assert names.count("linprog") < names.count("feasible")
+    assert names.count("verify_proof") == 1
     # the tracer reads replay from feasible's keyword arguments: a known
     # replay failure (10102100 at c = 8/5) must count, and '12' decisions
     # show as precondition
