@@ -15,9 +15,13 @@ writes to OUT, one line each:
 - best_exponent's bisection (tol 1e-7) of each of the 170 ts annotations
   of length <= 10 without '12' or '22' at alpha = 1: annotation, c*, and
   its decisions per method;
+- the named proofs: good_proof_best_c(alpha, k) at alpha in {1, 2/3} and
+  k in {2, 5, 10}, and whether bpts_proof(40, c) and bpts_grover_proof(c)
+  verify to a contradiction at c in {7/5, 3/2};
 - the calls to HiGHS (search.linprog), to the exact simplex (simplex.solve)
-  and to the rules (apply_step, as bound in atlb.rules and atlb.search) of
-  each part.
+  and to the rules (apply_step and verify_proof, as bound in atlb.rules and
+  atlb.search) of each part; the script's own verify_proof checks of
+  certificates are not counted, but the apply_step calls they make are.
 
 Run it in a checkout of each tree and diff the two files.  It takes about a
 minute.
@@ -57,12 +61,13 @@ def main(out_path: str) -> None:
     counted(simplex, "solve", calls)
     for module in (rules, search):
         counted(module, "apply_step", calls)
+        counted(module, "verify_proof", calls)
     lines = []
 
     def part_done(name):
         lines.append(
             f"calls {name}: linprog={calls['linprog']} simplex={calls['solve']} "
-            f"apply_step={calls['apply_step']}"
+            f"apply_step={calls['apply_step']} verify_proof={calls['verify_proof']}"
         )
         calls.clear()
 
@@ -100,6 +105,17 @@ def main(out_path: str) -> None:
         lines.append(f"bisect {a} {None if best is None else best[0]} {methods}")
     search.feasible = solo
     part_done("bisections")
+
+    for alpha in (F(1), F(2, 3)):
+        for k in (2, 5, 10):
+            lines.append(f"good_proof_best_c {alpha} {k} {search.good_proof_best_c(alpha, k)}")
+    for cc in (F(7, 5), F(3, 2)):
+        for name, cert in (
+            ("bpts_proof(40)", search.bpts_proof(40, cc)),
+            ("bpts_grover_proof", search.bpts_grover_proof(cc)),
+        ):
+            lines.append(f"{name} {cc} contradiction={verify_proof(cert).contradiction}")
+    part_done("named proofs")
 
     with open(out_path, "w") as out:
         out.write("\n".join(lines) + "\n")

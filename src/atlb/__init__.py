@@ -64,7 +64,6 @@ from .rules import (
 )
 from .search import (
     Feasibility,
-    GoodProofParams,
     ScanReport,
     SearchResult,
     annotation_certificate,
@@ -76,7 +75,6 @@ from .search import (
     good_proof_best_c,
     good_proof_contradicts,
     good_proof_limit,
-    good_proof_params,
     grover_certificate,
     optimality_scan,
     search_best,

@@ -9,8 +9,9 @@ annotation is feasible iff the maximal margin is positive; a positive
 answer is replayed through the exact rules at a large concrete d, in one
 derivation (rules.derive) that builds the certificate and checks it.
 
-The float LP (scipy/HiGHS) only steers: a feasible answer is certified by an
-exact rational witness check, an infeasible one by exact weak-duality
+The float LP (scipy/HiGHS) only steers: a feasible answer is certified by the
+exact margin of its rounded witness at the LP's tight point (each max
+variable at the max of its terms), an infeasible one by exact weak-duality
 multipliers solved on the float solution's active set (one dual path).  When
 neither certifies, the active set itself is checked exactly: its rows solved
 as equalities give a vertex, and when the vertex satisfies every row and its
@@ -70,7 +71,7 @@ from .rules import (
     apply_step,
     derive,
     expected_assumption,
-    verify_proof,
+    verify_proof,  # unused here: perfbench's tracer replaces search.verify_proof by name
 )
 
 _CONST = -1
@@ -89,31 +90,28 @@ _HIGHS = {"primal_feasibility_tolerance": _FLOAT_TOL}
 _BATCH = 32
 
 
-# --- Shared annotation walk -------------------------------------------------
-#
-# The LP builder and the exact witness evaluator run the same homogeneous
-# rule semantics; only the value algebra differs (linear expressions vs
-# tight rational values).
+# --- The LP of an annotation ------------------------------------------------
 
 
 class _BuildAlgebra:
-    """Values are linear expressions {var index: coeff, _CONST: coeff}."""
+    """The LP, built from linear expressions {var index: coeff, _CONST: coeff}.
+
+    Besides the rows it keeps each max variable's terms, in creation order,
+    and each strict precondition: what _tight_point evaluates."""
 
     def __init__(self):
         self.nvars = 1  # var 0 is the margin
         self.rows: list[dict[int, Fraction]] = []  # each row means expr >= 0
         self.xvars: list[int] = []
+        self.maxes: list[tuple[int, list[dict]]] = []  # (max variable, its terms)
+        self.preconditions: list[dict] = []  # each means expr > 0
 
     def _new_var(self) -> int:
         i = self.nvars
         self.nvars += 1
         return i
 
-    def const(self, v) -> dict:
-        v = Fraction(v)
-        return {_CONST: v} if v else {}
-
-    def x(self, j: int) -> dict:
+    def x(self) -> dict:
         i = self._new_var()
         self.xvars.append(i)
         return {i: Fraction(1)}
@@ -137,64 +135,33 @@ class _BuildAlgebra:
         if len(terms) == 1:
             return terms[0]
         i = self._new_var()
+        self.maxes.append((i, terms))
         for t in terms:
             self.rows.append(self.sub({i: Fraction(1)}, t))
         return {i: Fraction(1)}
 
     def precondition(self, e: dict):
+        self.preconditions.append(e)
         self.rows.append(self.sub(e, {_MARGIN: Fraction(1)}))
 
-    def final(self, d: dict):
-        self.rows.append(self.sub(self.const(1), self.sub(d, {_MARGIN: Fraction(-1)})))
 
-
-class _EvalAlgebra:
-    """Values are exact rationals under the tight (max) semantics."""
-
-    def __init__(self, xs: list[Fraction]):
-        self.xs = xs
-        self.margin: Fraction | None = None
-
-    def const(self, v) -> Fraction:
-        return Fraction(v)
-
-    def x(self, j: int) -> Fraction:
-        return self.xs[j]
-
-    def sub(self, e1, e2):
-        return e1 - e2
-
-    def scale(self, fac, e):
-        return Fraction(fac) * e
-
-    def max_of(self, terms):
-        return max(terms) if terms else Fraction(0)
-
-    def precondition(self, e):
-        self.margin = e if self.margin is None else min(self.margin, e)
-
-    def final(self, d):
-        self.precondition(Fraction(1) - d)
-
-
-def _walk_annotation(a: str, alpha: Fraction, cc: Fraction, mode: str, alg):
-    """Run the homogeneous rule semantics of the annotation over an algebra."""
+def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _BuildAlgebra:
+    """The LP of the annotation's homogeneous rule semantics."""
+    lp = _BuildAlgebra()
     ts = mode == TS_MODE
     ver_bp = not ts
-    zero = alg.const(0)
+    zero: dict = {}
     blocks: list[tuple] = []  # (a value, b value); constant-1 floors are zero
-    d = alg.const(1)
-    j = 0
+    d = {_CONST: Fraction(1)}
     for sym in a:
         if sym == "1":
-            x = alg.x(j)
-            j += 1
-            alg.precondition(x)
-            alg.precondition(alg.sub(d, x))
+            x = lp.x()
+            lp.precondition(x)
+            lp.precondition(lp.sub(d, x))
             if not ver_bp:
                 if blocks:  # usual speedup
                     a0, b0 = blocks[-1]
-                    blocks[-1] = (alg.max_of([a0, x]), alg.max_of([b0, x]))
+                    blocks[-1] = (lp.max_of([a0, x]), lp.max_of([b0, x]))
                     blocks.append((zero, b0))
                 else:  # first speedup: E(x, max(x,1)) A(0, 1)
                     blocks.append((x, x))
@@ -202,19 +169,19 @@ def _walk_annotation(a: str, alpha: Fraction, cc: Fraction, mode: str, alg):
             else:  # randomized speedup
                 if blocks:
                     a0, b0 = blocks[-1]
-                    blocks.append((x, alg.max_of([b0, x])))
+                    blocks.append((x, lp.max_of([b0, x])))
                     blocks.append((zero, b0))
                 else:  # E(0,1) A(x, max(x,1)) E(0,1)
                     blocks.append((zero, zero))
                     blocks.append((x, x))
                     blocks.append((zero, zero))
             ver_bp = False
-            d = alg.sub(d, x)
+            d = lp.sub(d, x)
         elif sym == "0":
             a0, b0 = blocks.pop()
             b_prev = blocks[-1][1] if blocks else zero
-            lead = alg.scale(cc * alpha, d)  # a grover collapse is this lead at alpha = 2/3
-            d = alg.max_of([lead, alg.scale(cc, b0), alg.scale(cc, a0), alg.scale(cc, b_prev)])
+            lead = lp.scale(cc * alpha, d)  # a grover collapse is this lead at alpha = 2/3
+            d = lp.max_of([lead, lp.scale(cc, b0), lp.scale(cc, a0), lp.scale(cc, b_prev)])
             ver_bp = not ts
         else:  # '2' squiggle
             # rules.squiggle iterates (speedup x = a_k, slowdown) down to its
@@ -236,22 +203,43 @@ def _walk_annotation(a: str, alpha: Fraction, cc: Fraction, mode: str, alg):
             # fail replay (10102100 at c = 8/5).
             a0, b0 = blocks[-1]
             ratio = alpha * cc / (alpha * cc - 1)
-            alg.precondition(alg.sub(alg.scale(ratio, a0), d))
-            d = alg.max_of([alg.scale(cc, a0), alg.scale(cc, b0)])
-    alg.final(d)
+            lp.precondition(lp.sub(lp.scale(ratio, a0), d))
+            d = lp.max_of([lp.scale(cc, a0), lp.scale(cc, b0)])
+    lp.precondition(lp.sub({_CONST: Fraction(1)}, d))
+    return lp
 
 
-def _build_lp(a, alpha, cc, mode) -> _BuildAlgebra:
-    alg = _BuildAlgebra()
-    _walk_annotation(a, alpha, cc, mode, alg)
-    return alg
+def _value(e: dict, v) -> Fraction:
+    """The linear expression e (a row, a max term or a precondition) at the
+    point v, whose v[_CONST] is 1: exact, or float for a float v.  Unit
+    coefficients skip the multiply, and the sum starts at the first term, not
+    at an int 0: a tight point costs about a third less than with a plain
+    multiply-and-add loop."""
+    s = None
+    for i, coeff in e.items():
+        t = v[i] if coeff == 1 else -v[i] if coeff == -1 else coeff * v[i]
+        s = t if s is None else s + t
+    return s
 
 
-def _witness_margin(a, alpha, cc, mode, xs) -> Fraction:
-    """Exact margin of the witness under tight semantics (may be <= 0)."""
-    alg = _EvalAlgebra(xs)
-    _walk_annotation(a, alpha, cc, mode, alg)
-    return alg.margin
+def _tight_point(lp: _BuildAlgebra, xs: list[Fraction]) -> dict[int, Fraction]:
+    """The LP's point at the speedup parameters xs under the tight semantics
+    the rules compute: each max variable at the max of its terms, and the
+    margin at the least precondition.
+
+    The LP drops a max's zero terms, so where a term is negative the margin
+    may differ from the rules' in value, but not in sign; a positive margin
+    is the rules' own, and the point then satisfies every row."""
+    v = {_CONST: 1, **dict(zip(lp.xvars, xs))}
+    for i, terms in lp.maxes:
+        v[i] = max(_value(t, v) for t in terms)
+    v[_MARGIN] = min(_value(e, v) for e in lp.preconditions)
+    return v
+
+
+def _witness_margin(lp: _BuildAlgebra, xs: list[Fraction]) -> Fraction:
+    """Exact margin of the witness xs at the LP's tight point (may be <= 0)."""
+    return _tight_point(lp, xs)[_MARGIN]
 
 
 # --- Exact certification of the float answer --------------------------------
@@ -337,12 +325,6 @@ def _active_dual_bound(lp: _BuildAlgebra, x, duals) -> Fraction | None:
     return _dual_bound(lp, support, sol)
 
 
-def _row_value(row: dict, v) -> Fraction:
-    """The row's expression at the point v (exact, or float for a float v);
-    the row holds iff it is >= 0."""
-    return sum((coeff * (1 if i == _CONST else v[i]) for i, coeff in row.items()), Fraction(0))
-
-
 def _active_vertex(lp: _BuildAlgebra, x, duals):
     """(exact LP optimum, the vertex) from the float solution's active set,
     or None when it does not verify.
@@ -351,10 +333,11 @@ def _active_vertex(lp: _BuildAlgebra, x, duals):
     dual) as equalities on the tight columns, every other column at 0, and
     must satisfy every row and v >= 0 exactly.  Its margin is optimal when
     it equals the exact dual bound on the same set (_active_dual_bound)."""
+    at_x = {_CONST: 1, **dict(enumerate(x))}
     active = [
         r
         for r, (row, dual) in enumerate(zip(lp.rows, duals))
-        if dual < -_DUAL_TOL or abs(_row_value(row, x)) <= _FLOAT_TOL
+        if dual < -_DUAL_TOL or abs(_value(row, at_x)) <= _FLOAT_TOL
     ]
     tight = _tight_columns(lp, x)
     a_rows = [[lp.rows[r].get(i, Fraction(0)) for i in tight] for r in active]
@@ -364,7 +347,8 @@ def _active_vertex(lp: _BuildAlgebra, x, duals):
     v = [Fraction(0)] * lp.nvars
     for i, vi in zip(tight, sol):
         v[i] = vi
-    if any(vi < 0 for vi in v[1:]) or any(_row_value(row, v) < 0 for row in lp.rows):
+    at_v = {_CONST: 1, **dict(enumerate(v))}
+    if any(vi < 0 for vi in v[1:]) or any(_value(row, at_v) < 0 for row in lp.rows):
         return None
     if _active_dual_bound(lp, x, duals) != v[_MARGIN]:
         return None
@@ -537,7 +521,7 @@ def _replay(a, alpha, cc, mode, xs, margin):
     witness replays the LP walk times d0, and d0 >= 2/(alpha*margin) keeps
     every strict precondition 2/alpha clear of its bound.  A larger d0 only
     scales the same chain of classes, so a witness that fails here fails the
-    tight semantics (the squiggle guard row, see _walk_annotation)."""
+    tight semantics (the squiggle guard row, see _build_lp)."""
     base = 10**6
     if margin is not None and margin > 0:
         base = max(base, int(2 / (alpha * margin)) + 1)
@@ -609,8 +593,8 @@ def feasible(
         mval = x[_MARGIN]
         if mval > _FLOAT_TOL:
             xs = _rounded(lp, x)
-            margin = _witness_margin(a, alpha, cc, mode, xs)
-            if margin is not None and margin > 0:
+            margin = _witness_margin(lp, xs)
+            if margin > 0:
                 return result(True, margin, xs, "float+primal")
         elif mval < -_FLOAT_TOL:
             bound = _active_dual_bound(lp, x, duals)
@@ -623,7 +607,7 @@ def feasible(
             if not replay:  # search_best decides its winner again if need be
                 return result(True, opt, [v[i] for i in lp.xvars], "vertex")
             for xs in _vertex_witnesses(lp, opt):
-                tight = _witness_margin(a, alpha, cc, mode, xs)
+                tight = _witness_margin(lp, xs)
                 if tight > 0:
                     return result(True, opt, xs, "vertex", tight)
             return result(True, opt, xs, "vertex")  # the simplex's, to replay as is
@@ -642,14 +626,15 @@ def _decide_batch(jobs, replay):
 
 def _map_batches(fn, items, workers, *args) -> list:
     """fn(batch, *args) of each run of _BATCH consecutive items, in order; in
-    a process pool when workers > 1 and there are two batches or more.  The
-    pool maps whole batches, so which items share a float solve, and hence
-    every answer, depends on the items only."""
+    a process pool when workers > 1 and there are two batches or more, with
+    no more workers than batches (the fork start method launches them all
+    at the first submit).  The pool maps whole batches, so which items share
+    a float solve, and hence every answer, depends on the items only."""
     batches = [items[i : i + _BATCH] for i in range(0, len(items), _BATCH)]
     if workers and workers > 1 and len(batches) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
             return list(pool.map(fn, batches, *([arg] * len(batches) for arg in args)))
     return [fn(batch, *args) for batch in batches]
 
@@ -771,33 +756,8 @@ def _geometric(k: int, cc: Fraction, slack: Fraction, base: Fraction):
     return r, scale, 2 * scale / min(Fraction(1), r) ** (k - 1)
 
 
-@dataclass(frozen=True)
-class GoodProofParams:
-    k: int
-    epsilon: Fraction
-    x: tuple[Fraction, ...]
-
-
-def good_proof_params(alpha: Fraction, cc: Fraction, k: int, d: Fraction) -> GoodProofParams:
-    """Geometric speedup parameters x_i = tau^(i-1) * x_1 with
-    tau = (1-eps)/(c(alpha*c-1)), eps = 1/k.
-
-    x_1 is d/(alpha*c^2) when the speedups fit into d; otherwise it is scaled
-    down just enough that they do (the contradiction then holds a fortiori)."""
-    alpha, cc, d = Fraction(alpha), Fraction(cc), Fraction(d)
-    tau, scale, _ = _geometric(k, cc, alpha * cc - 1, alpha * cc * cc)
-    x1 = d / scale
-    return GoodProofParams(k, Fraction(1, k), tuple(x1 * tau**i for i in range(k)))
-
-
-def good_proof(
-    alpha: Fraction, cc: Fraction, k: int, d: Fraction | None = None
-) -> ProofCertificate:
-    """Certificate for the annotation 1^k 0 (20)^k with geometric parameters.
-
-    d is auto-scaled upward so every exponent stays above the constant floors.
-    The certificate always verifies; it shows a contradiction exactly when the
-    finite-k constraint holds (all squiggles proper)."""
+def _good_proof(alpha, cc, k: int, d) -> tuple[ProofCertificate, ProofReport]:
+    """good_proof's certificate and the report of its one derivation."""
     alpha, cc = Fraction(alpha), Fraction(cc)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -805,23 +765,36 @@ def good_proof(
         raise ValueError(
             f"need 1/alpha < c < (1+alpha)/alpha for the squiggle rule: alpha={alpha}, c={cc}"
         )
-    _, _, min_d = _geometric(k, cc, alpha * cc - 1, alpha * cc * cc)
+    tau, scale, min_d = _geometric(k, cc, alpha * cc - 1, alpha * cc * cc)
     d = max(Fraction(d) if d is not None else Fraction(100), min_d)
-    xs = good_proof_params(alpha, cc, k, d).x
-    return annotation_certificate("1" * k + "0" + "20" * k, alpha, cc, TS_MODE, xs, d)
+    xs = [d / scale * tau**i for i in range(k)]
+    steps = _annotation_steps("1" * k + "0" + "20" * k, TS_MODE, xs)
+    return _run_steps(alpha, cc, TS_MODE, d, steps)
+
+
+def good_proof(
+    alpha: Fraction, cc: Fraction, k: int, d: Fraction | None = None
+) -> ProofCertificate:
+    """Certificate for the annotation 1^k 0 (20)^k with geometric speedup
+    parameters x_i = tau^(i-1) * x_1, tau = (1-eps)/(c(alpha*c-1)), eps = 1/k.
+
+    x_1 is d/(alpha*c^2) when the speedups fit into d; otherwise it is scaled
+    down just enough that they do (the contradiction then holds a fortiori).
+    d is auto-scaled upward so every exponent stays above the constant floors.
+    The certificate always verifies; it shows a contradiction exactly when the
+    finite-k constraint holds (all squiggles proper)."""
+    return _good_proof(alpha, cc, k, d)[0]
 
 
 def good_proof_contradicts(alpha: Fraction, cc: Fraction, k: int) -> bool:
-    """True iff the Good proof at (alpha, c, k) replays to a contradiction
-    with every squiggle proper."""
+    """True iff the Good proof at (alpha, c, k) derives a contradiction with
+    every squiggle proper; read from the report of its one derivation."""
     try:
-        cert = good_proof(alpha, cc, k)
+        report = _good_proof(alpha, cc, k, None)[1]
     except (ValueError, RuleError):
         return False
-    report = verify_proof(cert)
     return (
-        report.valid
-        and report.contradiction
+        report.contradiction
         and len(report.squiggles) == k
         and all(proper for _, _, proper in report.squiggles)
     )

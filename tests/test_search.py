@@ -16,17 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
+import atlb
 from atlb import rules, search, simplex
 from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
-from atlb.rules import RuleStep, format_certificate, verify_proof
+from atlb.rules import RuleError, RuleStep, format_certificate, verify_proof
 from atlb.search import (
     _CONST,
     _MARGIN,
-    GoodProofParams,
     _build_lp,
-    _EvalAlgebra,
     _solve_exact,
-    _walk_annotation,
+    _tight_point,
     _witness_margin,
     annotation_certificate,
     best_exponent,
@@ -37,7 +36,6 @@ from atlb.search import (
     good_proof_best_c,
     good_proof_contradicts,
     good_proof_limit,
-    good_proof_params,
     grover_certificate,
     optimality_scan,
     search_best,
@@ -166,7 +164,7 @@ class TestFeasible:
         monkeypatch.setattr(simplex, "solve", lambda *args: pytest.fail("exact simplex called"))
         f = feasible(a, F(1), cc, replay=False)
         assert (f.feasible, f.method, len(calls)) == (True, "float+primal", 1)
-        assert f.margin == _witness_margin(a, F(1), cc, TS_MODE, f.witness)
+        assert f.margin == _witness_margin(_build_lp(a, F(1), cc, TS_MODE), f.witness)
         monkeypatch.undo()
         assert 0 < f.margin <= F(209, 2777668320) == _solve_exact(_build_lp(a, F(1), cc, TS_MODE))[0]
 
@@ -207,20 +205,15 @@ class TestFeasible:
         [("100", F(7, 5)), ("1102020", F(17, 10)), ("111100202020", F(44, 25))],
     )
     def test_lp_walk_matches_rule_replay(self, a, cc):
-        # the homogeneous walk the LP is built from and the exact rules agree
-        # on the witness: the replay ends at d0 times the walk's final d
+        # the LP's tight point and the exact rules agree on the witness: the
+        # replay ends at d0 times the final d of the tight point, read from
+        # the last precondition, 1 - d
         f = feasible(a, F(1), cc)
         assert f.feasible and f.replay_ok
-
-        class Final(_EvalAlgebra):
-            def final(self, d):
-                self.d = d
-                super().final(d)
-
-        walk = Final(f.witness)
-        _walk_annotation(a, F(1), cc, TS_MODE, walk)
+        lp = _build_lp(a, F(1), cc, TS_MODE)
+        final_d = 1 - search._value(lp.preconditions[-1], _tight_point(lp, f.witness))
         classes = f.certificate.classes
-        assert classes[-1].d == classes[0].d * walk.d
+        assert classes[-1].d == classes[0].d * final_d
 
 
 _LP_ANNOTATIONS = {
@@ -249,6 +242,19 @@ def test_active_vertex_is_lp_optimum(job):
     vertex = search._active_vertex(lp, x, duals)
     assert vertex is not None
     assert vertex[0] == _lp_optimum(lp, shift=F(math.ceil(max(0.0, -x[_MARGIN]))) + 1)
+
+
+@given(lp_decisions())
+@settings(max_examples=30, deadline=None)
+def test_tight_point_with_positive_margin_is_lp_feasible(job):
+    # the tight point of the float solve's rounded witness: with a positive
+    # margin it satisfies every LP row exactly, so that margin is at most the
+    # LP optimum, and a "float+primal" verdict is sound
+    lp, (x, _) = search._solve_batch([job])[0]
+    v = _tight_point(lp, search._rounded(lp, x))
+    if v[_MARGIN] > 0:
+        assert all(search._value(row, v) >= 0 for row in lp.rows)
+        assert v[_MARGIN] <= _solve_exact(lp)[0]
 
 
 class TestBestExponent:
@@ -369,8 +375,10 @@ class TestBestExponent:
 class TestGoodProof:
     def test_worked_example_k2(self):
         cert = good_proof(F(1), F(3, 2), 2, d=F(100))
-        params = good_proof_params(F(1), F(3, 2), 2, F(100))
-        assert params == GoodProofParams(2, F(1, 2), (F(400, 9), F(800, 27)))
+        xs = [s.x for s in cert.steps if s.x is not None]
+        # x_1 = d/(alpha*c^2), ratio tau = (1-1/k)/(c(alpha*c-1)) = 2/3
+        assert xs == [F(400, 9), F(800, 27)]
+        assert xs[1] / xs[0] == (1 - F(1, 2)) / (F(3, 2) * (F(3, 2) - 1))
         rep = verify_proof(cert)
         assert rep.valid
         # annotation 1^2 0 (20)^2 ends back at the starting exponent
@@ -490,7 +498,10 @@ class TestNamedConstructorsAreAnnotations:
     def test_good_proof(self, alpha, cc, k):
         cert = good_proof(alpha, cc, k)
         d = cert.classes[0].d
-        xs = good_proof_params(alpha, cc, k, d).x
+        xs = [s.x for s in cert.steps if s.x is not None]
+        assert len(xs) == k
+        tau = (1 - F(1, k)) / (cc * (alpha * cc - 1))
+        assert all(x1 * tau == x2 for x1, x2 in zip(xs, xs[1:]))
         assert cert == annotation_certificate("1" * k + "0" + "20" * k, alpha, cc, TS_MODE, xs, d)
 
     @pytest.mark.parametrize("k,cc", [(1, F(7, 5)), (3, F(73, 50)), (10, F(3, 2))])
@@ -570,6 +581,44 @@ class TestOneDerivation:
         f = feasible(a, alpha, cc)
         assert f.replay_ok
         assert len(calls) == len(f.certificate.steps)
+
+    @pytest.mark.parametrize(
+        "alpha, cc, k", [(F(1), F(3, 2), 2), (F(1), F(19, 10), 3), (F(2, 3), F(23, 10), 6)]
+    )
+    def test_good_proof_contradicts_derives_once(self, alpha, cc, k, monkeypatch):
+        # the predicate reads the report of good_proof's one derivation:
+        # 3k+1 steps (k speedups, a slowdown, k squiggle-slowdown pairs)
+        calls, apply_step = [], rules.apply_step
+        monkeypatch.setattr(rules, "apply_step", lambda *args: calls.append(1) or apply_step(*args))
+        monkeypatch.setattr(search, "verify_proof", lambda p: pytest.fail("verify_proof called"))
+        good_proof_contradicts(alpha, cc, k)
+        assert len(calls) == 3 * k + 1
+
+    def test_good_proof_contradicts_is_verified_predicate(self):
+        # the same verdict as verify_proof on good_proof's certificate, also
+        # for alpha > 1, alpha*c <= 1 and c >= (1+alpha)/alpha
+        def verified(alpha, cc, k):
+            try:
+                report = verify_proof(good_proof(alpha, cc, k))
+            except (ValueError, RuleError):
+                return False
+            return (
+                report.valid
+                and report.contradiction
+                and len(report.squiggles) == k
+                and all(proper for _, _, proper in report.squiggles)
+            )
+
+        alphas = (F(1, 2), F(2, 3), F(1), F(3, 2))
+        cs = (F(11, 10), F(7, 5), F(3, 2), F(19, 10), F(2), F(5, 2), F(3))
+        verdicts = set()
+        for alpha in alphas:
+            for cc in cs:
+                for k in (1, 2, 5):
+                    got = good_proof_contradicts(alpha, cc, k)
+                    assert got == verified(alpha, cc, k), (alpha, cc, k)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
 
     def test_first_error_is_earliest_of_mismatch_and_failing_step(self):
         # a stated class that differs comes before a later failing step; the
@@ -653,7 +702,8 @@ class TestBatchedDecisions:
                 assert f.margin is None or f.margin <= 0
             elif f.method == "float+primal":
                 assert f.margin > 0
-                assert f.margin == _witness_margin(f.annotation, alpha, cc, TS_MODE, f.witness)
+                lp = _build_lp(f.annotation, alpha, cc, TS_MODE)
+                assert f.margin == _witness_margin(lp, f.witness)
             else:
                 assert f.method in ("vertex", "exact") and f.margin > 0
                 lp = _build_lp(f.annotation, alpha, cc, TS_MODE)
@@ -707,6 +757,34 @@ def test_single_batch_runs_without_pool(monkeypatch):
     assert optimality_scan(F(1), F(3, 2), 6, workers=2).entries == serial_scan.entries
 
 
+def test_pool_has_no_more_workers_than_batches(monkeypatch):
+    # the fork start method launches max_workers processes at the first
+    # submit, so a pool asks for no more workers than there are batches.  A
+    # fake executor records the size and maps serially: no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    serial = search_best(7, F(1), tol=F(1, 10**4))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert search._map_batches(len, list(range(search._BATCH + 1)), 4) == [search._BATCH, 1]
+    pooled = search_best(7, F(1), tol=F(1, 10**4), workers=3)  # two batches
+    assert (pooled.annotation, pooled.best_c) == (serial.annotation, serial.best_c)
+    assert optimality_scan(F(1), F(3, 2), 8, workers=3).total == 145  # five batches
+    assert sizes == [2, 2, 3]
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -749,12 +827,13 @@ def test_perfbench_tracer_binds_search():
     # perfbench/tracing.py wraps these functions by attribute name; a missing
     # one breaks the traced benchmark with AttributeError.  It counts one
     # decision per feasible span, and batches solve many in one linprog.  A
-    # scan's replays derive each certificate once, without verify_proof;
-    # good_proof_contradicts verifies the certificate it builds.
+    # scan's replays and good_proof_contradicts derive each certificate once,
+    # without verify_proof; the one verify_proof span is a direct call.
     tracer = _load_perfbench("tracing").Tracer()
     with tracer.installed():
         report = optimality_scan(F(1), F(7, 5), 5)
         search.good_proof_contradicts(F(1), F(3, 2), 2)
+        atlb.verify_proof(good_proof(F(1), F(3, 2), 2))
     names = [span[0] for span in tracer.spans]
     assert {"feasible", "linprog", "apply_step", "verify_proof"} <= set(names)
     assert names.count("feasible") == report.total
