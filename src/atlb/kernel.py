@@ -48,7 +48,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:  # more digits than Python's int-to-str limit allows
+        raise RuntimeError(f"number too large to write: {exc}") from exc
 
 
 @dataclass(frozen=True)

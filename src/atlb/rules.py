@@ -10,6 +10,7 @@ the same shape with no larger exponents, using at least one speedup).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,45 +136,59 @@ def grover_round(c0: AltClass, cc: Fraction) -> AltClass:
 def squiggle(
     c0: AltClass, alpha: Fraction, cc: Fraction
 ) -> tuple[AltClass, int, bool]:
-    """Squiggle rule: repeat (speedup with x = a_k, generic slowdown) while the
-    verifier exponent strictly decreases.
-
-    Proper iff the guard d < (alpha*c/(alpha*c - 1)) * a_k holds; then each
-    iteration decrements d by c*alpha*a_k - (c*alpha - 1)*d > 0 and the loop
-    lands on the fixed point c * max(a_k, b_k, 1).  Otherwise the class is
-    returned unchanged.  Returns (class, iterations, proper)."""
+    """Squiggle rule, (speedup with x = a_k, generic slowdown) while d strictly
+    decreases, in closed form.  Proper iff the guard d < top = q*a_k/(q-1),
+    q = alpha*c, holds; an iteration then sets the last block to (a_k,
+    max(a_k, b_k)) and d to max(q*(d - a_k), fixed), fixed = c*max(a_k, b_k, 1),
+    so top - d grows by the factor q until d lands on fixed, after the least
+    n >= 1 with q^n >= (top - fixed)/(top - d); if d <= fixed, or the guard
+    fails, the class is unchanged.  Returns (class, iterations, proper)."""
     alpha, cc = Fraction(alpha), Fraction(cc)
     _require(len(c0.blocks) >= 1, "squiggle needs at least one quantifier")
     _require(c0.verifier == DET_TS, "squiggle needs a deterministic verifier")
-    _require(alpha * cc > 1, f"parameter range alpha*c > 1 fails: alpha={alpha}, c={cc}")
     _require(
-        cc < (1 + alpha) / alpha,
-        f"parameter range c < (1+alpha)/alpha fails: c={cc}, bound={(1 + alpha) / alpha}",
+        0 < alpha <= 1 and 1 < alpha * cc and cc < (1 + alpha) / alpha,
+        f"parameter range 0 < alpha <= 1, 1/alpha < c < (1+alpha)/alpha fails: alpha={alpha}, c={cc}",
     )
-    a_k = c0.blocks[-1].a
-    if a_k <= 0 or c0.d >= (alpha * cc / (alpha * cc - 1)) * a_k:
+    last = c0.blocks[-1]
+    q = alpha * cc
+    top = q * last.a / (q - 1)
+    if c0.d >= top:  # also when a_k = 0
         return c0, 0, False
-    # Analytic iteration bound: the decrement c*alpha*a_k - (c*alpha-1)*d is
-    # positive under the guard and grows as d shrinks; d never drops below c*a_k.
-    dec0 = cc * alpha * a_k - (cc * alpha - 1) * c0.d
+    fixed = cc * max(last.a, last.b, Fraction(1))
+    if c0.d <= fixed:
+        return c0, 0, True
+    n = _iterations(q, (top - fixed) / (top - c0.d))
+    block = Block(last.kind, last.a, max(last.a, last.b))
+    return AltClass(c0.blocks[:-1] + (block,), DET_TS, fixed), n, True
+
+
+def _iterations(q: Fraction, ratio: Fraction) -> int:
+    """The least n >= 1 with q^n >= ratio (q, ratio > 1), checked exactly near
+    a log estimate; RuntimeError past the cap, with no power of q beyond it."""
     cap = SQUIGGLE_ITERATION_CAP
-    if dec0 > 0:
-        cap = min(cap, int((c0.d - cc * a_k) / dec0) + 2) if c0.d > cc * a_k else 1
-    cur = c0
-    n = 0
-    while n <= cap:
-        if cur.blocks[-1].a >= cur.d:
-            break
-        nxt = slowdown_generic(speedup(cur, a_k), alpha, cc, TS_MODE)
-        if nxt.d >= cur.d:
-            break
-        cur = nxt
-        n += 1
-    else:
-        raise RuntimeError(
-            f"squiggle iteration cap exceeded (cap={cap}); analytic bound violated"
-        )
-    return cur, n, True
+    estimate = _log(ratio) / _log(q)
+    n = cap + 1  # above twice the cap the estimate decides: its error is far below 2x
+    if estimate <= 2 * cap:
+        n = min(max(1, math.ceil(estimate)), cap + 1)
+        below = q ** (n - 1)
+        while n > 1 and below >= ratio:  # n too large
+            n, below = n - 1, below / q
+        while n <= cap and below * q < ratio:  # n too small
+            n, below = n + 1, below * q
+    if n > cap:
+        raise RuntimeError(f"squiggle iteration cap exceeded (cap={cap})")
+    return n
+
+
+def _log(x: Fraction) -> Fraction:
+    """log x for x > 1 to about float precision, also where x - 1 over- or underflows."""
+    t = x - 1
+    if t < Fraction(1, 2**30):
+        return t - t * t / 2  # relative error below t^2/3
+    if t < 2**1000:
+        return Fraction(math.log1p(t))
+    return Fraction(math.log(x.numerator) - math.log(x.denominator))
 
 
 # --- Certificates ----------------------------------------------------------

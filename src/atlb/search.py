@@ -145,62 +145,56 @@ class _BuildAlgebra:
         self.rows.append(self.sub(e, {_MARGIN: Fraction(1)}))
 
 
+def _rule_names(a: str, mode: str):
+    """The rule each symbol applies; the height trace names each speedup."""
+    h, ver = 0, BP_TS if mode == BPTS_MODE else DET_TS
+    for sym in a:
+        speedup = "speedup_rand" if ver == BP_TS else "speedup" if h else "speedup_first"
+        h, ver = _step_height(h, ver, sym, mode)  # AnnotationError on an invalid step
+        yield {"1": speedup, "0": "slowdown", "2": "squiggle"}[sym]
+
+
 def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _BuildAlgebra:
     """The LP of the annotation's homogeneous rule semantics."""
     lp = _BuildAlgebra()
-    ts = mode == TS_MODE
-    ver_bp = not ts
     zero: dict = {}
     blocks: list[tuple] = []  # (a value, b value); constant-1 floors are zero
     d = {_CONST: Fraction(1)}
-    for sym in a:
-        if sym == "1":
+    for rule in _rule_names(a, mode):
+        if rule.startswith("speedup"):
             x = lp.x()
             lp.precondition(x)
             lp.precondition(lp.sub(d, x))
-            if not ver_bp:
-                if blocks:  # usual speedup
-                    a0, b0 = blocks[-1]
-                    blocks[-1] = (lp.max_of([a0, x]), lp.max_of([b0, x]))
-                    blocks.append((zero, b0))
-                else:  # first speedup: E(x, max(x,1)) A(0, 1)
-                    blocks.append((x, x))
-                    blocks.append((zero, zero))
-            else:  # randomized speedup
-                if blocks:
-                    a0, b0 = blocks[-1]
-                    blocks.append((x, lp.max_of([b0, x])))
-                    blocks.append((zero, b0))
-                else:  # E(0,1) A(x, max(x,1)) E(0,1)
-                    blocks.append((zero, zero))
-                    blocks.append((x, x))
-                    blocks.append((zero, zero))
-            ver_bp = False
+            if rule == "speedup_first":  # E(x, max(x,1)) A(0, 1)
+                blocks += [(x, x), (zero, zero)]
+            elif rule == "speedup":
+                a0, b0 = blocks[-1]
+                blocks[-1] = (lp.max_of([a0, x]), lp.max_of([b0, x]))
+                blocks.append((zero, b0))
+            elif blocks:  # randomized speedup
+                a0, b0 = blocks[-1]
+                blocks += [(x, lp.max_of([b0, x])), (zero, b0)]
+            else:  # randomized first speedup: E(0,1) A(x, max(x,1)) E(0,1)
+                blocks += [(zero, zero), (x, x), (zero, zero)]
             d = lp.sub(d, x)
-        elif sym == "0":
+        elif rule == "slowdown":
             a0, b0 = blocks.pop()
             b_prev = blocks[-1][1] if blocks else zero
             lead = lp.scale(cc * alpha, d)  # a grover collapse is this lead at alpha = 2/3
             d = lp.max_of([lead, lp.scale(cc, b0), lp.scale(cc, a0), lp.scale(cc, b_prev)])
-            ver_bp = not ts
-        else:  # '2' squiggle
-            # rules.squiggle iterates (speedup x = a_k, slowdown) down to its
-            # fixed point c*max(a_k, b_k) while the guard holds.  These rows
-            # differ from it in two ways.  First, entered with d < c*b_k the
-            # exact rule is a no-op (an iteration would not shrink d), while
-            # here d is raised to c*b_k.  That cannot change a scan's answer:
-            # the scans also enumerate the annotation without this '2', and
-            # it is at least as good.  Its exact proof is the same chain of
-            # classes.  In its LP the d entering here comes from a slowdown
-            # (after a '1' a_k = 0, the guard cannot hold and _lp_of builds no
-            # LP; after a '2' d is already >= c*b_k), so it is a max variable
-            # bounded only from below: it may take the raised value, and
-            # every later row carries over unchanged.  The same holds where
-            # the guard fails: the rule is a no-op, and these rows are
-            # infeasible.  Second, max_of makes a0 an upper bound, not the
-            # tight max, and the guard is the one row a larger a0 helps.  An
-            # optimum that uses this fails the tight witness check and can
-            # fail replay (10102100 at c = 8/5).
+        else:
+            # rules.squiggle's one step without its constant floor: under the
+            # guard d < ratio*a_k, d goes to the fixed point c*max(a_k, b_k).
+            # Two differences.  First, where the rule is a no-op (d at or
+            # below the fixed point, or the guard fails) these rows raise d
+            # to c*max(a_k, b_k), or are infeasible.  No scan's answer moves:
+            # the entering d is a slowdown's max variable, bounded only from
+            # below ('12' has no LP, after a '2' d is at its fixed point), and
+            # the annotation without this '2', also scanned, is at least as
+            # good with the same exact proof.  Second, max_of makes a0 an
+            # upper bound, not the tight max, which the guard row rewards: an
+            # optimum that uses it fails the tight witness check and can fail
+            # replay (10102100 at c = 8/5).
             a0, b0 = blocks[-1]
             ratio = alpha * cc / (alpha * cc - 1)
             lp.precondition(lp.sub(lp.scale(ratio, a0), d))
@@ -474,22 +468,9 @@ def annotation_certificate(
 
 
 def _annotation_steps(a: str, mode: str, xs: list[Fraction]) -> list[RuleStep]:
-    """The annotation's rule steps.  The height trace names each speedup:
-    randomized on a randomized verifier, first at height 0, else usual."""
-    h, ver = 0, BP_TS if mode == BPTS_MODE else DET_TS
-    steps: list[RuleStep] = []
-    j = 0
-    for sym in a:
-        if sym == "1":
-            name = "speedup_rand" if ver == BP_TS else "speedup" if h else "speedup_first"
-            steps.append(RuleStep(name, xs[j]))
-            j += 1
-        elif sym == "0":
-            steps.append(RuleStep("slowdown"))
-        else:
-            steps.append(RuleStep("squiggle"))
-        h, ver = _step_height(h, ver, sym, mode)
-    return steps
+    """The annotation's rule steps, the speedups taking xs in turn."""
+    xs = iter(xs)
+    return [RuleStep(r, next(xs) if r.startswith("speedup") else None) for r in _rule_names(a, mode)]
 
 
 def _run_steps(alpha, cc, mode, d0, steps) -> tuple[ProofCertificate, ProofReport]:

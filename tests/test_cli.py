@@ -8,11 +8,23 @@ from pathlib import Path
 import pytest
 
 import atlb
+from atlb import rules
 from atlb.cli import EXIT_INVALID, EXIT_NO_CONTRADICTION, EXIT_OK, EXIT_USAGE, main
 
 
 def run(args):
     return main(args)
+
+
+# A squiggle of 3,790 iterations, then one at its fixed point.
+LONG_SQUIGGLES = """atlb-proof v1
+alpha 1   c 301/300   mode ts   assumption ntime
+class 0: E(a=1,b=1) TS d=300999/1000
+step 1: squiggle
+class 1: E(a=1,b=1) TS d=301/300
+step 2: squiggle
+class 2: E(a=1,b=1) TS d=301/300
+"""
 
 
 class TestVerify:
@@ -65,6 +77,19 @@ class TestVerify:
         out.write_text("\n".join(lines) + "\n")
         assert run(["verify", str(out)]) == EXIT_INVALID
         assert "not a rational" in capsys.readouterr().err
+
+    def test_long_squiggle_exit_zero(self, tmp_path, capsys):
+        p = tmp_path / "proof.txt"
+        p.write_text(LONG_SQUIGGLES)
+        assert run(["verify", str(p)]) == EXIT_OK
+        assert "valid: contradiction at c=301/300" in capsys.readouterr().out
+
+    def test_squiggle_past_iteration_cap_exit_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(rules, "SQUIGGLE_ITERATION_CAP", 100)
+        p = tmp_path / "proof.txt"
+        p.write_text(LONG_SQUIGGLES)
+        assert run(["verify", str(p)]) == EXIT_INVALID
+        assert "error: squiggle iteration cap exceeded (cap=100)" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -270,6 +295,18 @@ class TestProofEmitters:
         capsys.readouterr()
         assert run(["verify", str(out)]) == EXIT_OK
         assert "assumption=ebqp" in capsys.readouterr().out
+
+    def test_certificate_past_int_digit_limit_exit_one(self, tmp_path, capsys):
+        # --c 1.499 takes 1,217 grover steps, with denominators of 3,861 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = run(["bpts-proof", "--grover", "--c", "1.499", "--out", str(tmp_path / "p.txt")])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: number too large to write") and "640 digits" in err
 
     def test_good_proof_out_of_range_exit_two(self, tmp_path, capsys):
         out = tmp_path / "p.txt"

@@ -99,6 +99,51 @@ class TestRulePreservation:
         assert n2 == 0
 
 
+def iterated_squiggle(c0, alpha, cc):
+    """The squiggle by its definition, the oracle of rules.squiggle: when the
+    guard holds, (speedup with x = a_k, slowdown) while d strictly decreases."""
+    a_k = c0.blocks[-1].a
+    if a_k <= 0 or c0.d >= alpha * cc * a_k / (alpha * cc - 1):
+        return c0, 0, False
+    cur, n = c0, 0
+    while a_k < cur.d:
+        nxt = slowdown_generic(speedup(cur, a_k), alpha, cc)
+        if nxt.d >= cur.d:
+            break
+        cur, n = nxt, n + 1
+    return cur, n, True
+
+
+@st.composite
+def squiggle_cases(draw):
+    """(class, alpha, c) in the squiggle's parameter window, alpha*c >= 1.005.
+    d = fixed + w*(top - fixed) for the fixed point c*max(a_k, b_k, 1) and the
+    guard's bound top: w in (0, 1) iterates, at most ~1,400 times when
+    top > fixed; so does a d at which the count is exactly m.  The last
+    block may have a > b."""
+    alpha = draw(st.fractions(min_value=F(1, 10), max_value=1, max_denominator=20))
+    cc = 1 / alpha + draw(st.fractions(min_value=F(1, 20), max_value=F(19, 20), max_denominator=20))
+    cls = draw(alt_classes(min_blocks=1, max_blocks=3))
+    last = cls.blocks[-1]
+    last = Block(last.kind, last.a, draw(st.sampled_from([last.b, last.a / 2])))
+    q = alpha * cc
+    top = q * last.a / (q - 1)
+    fixed = cc * max(last.a, last.b, 1)
+    w = draw(st.fractions(min_value=F(-1, 2), max_value=F(11, 10), max_denominator=1000))
+    d = fixed + w * (top - fixed)
+    if top > fixed and draw(st.booleans()):  # (top - fixed)/(top - d) = q^m exactly
+        d = top - (top - fixed) / q ** draw(st.integers(1, 40))
+    return AltClass(cls.blocks[:-1] + (last,), DET_TS, d if d > 0 else cls.d), alpha, cc
+
+
+class TestSquiggleClosedForm:
+    @given(squiggle_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_iteration(self, case):
+        cls, alpha, cc = case
+        assert squiggle(cls, alpha, cc) == iterated_squiggle(cls, alpha, cc)
+
+
 class TestAnnotations:
     @given(st.integers(3, 8), st.sampled_from([TS_MODE, BPTS_MODE]))
     @settings(max_examples=20, deadline=None)

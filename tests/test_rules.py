@@ -1,10 +1,12 @@
 """Rules: exact rule application, certificates, verification, contradiction."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from atlb import rules
 from atlb.kernel import BP_TS, BPTS_MODE, DET_TS, TS_MODE, AltClass, Block, check_orderly, parse_class
 from atlb.rules import (
     CertificateError,
@@ -180,6 +182,75 @@ class TestSquiggle:
         once, n1, _ = squiggle(c0, F(1), F(3, 2))
         twice, n2, proper2 = squiggle(once, F(1), F(3, 2))
         assert twice == once and n2 == 0
+
+    @pytest.mark.parametrize("d", ["7/4", "5"], ids=["no-iteration", "iteration"])
+    def test_alpha_above_one_raises(self, d):
+        # alpha*c > 1 and c < (1+alpha)/alpha hold, alpha <= 1 does not; at
+        # d = 7/4 the class is at its fixed point, at d = 5 an iteration runs
+        with pytest.raises(RuleError, match="alpha <= 1"):
+            squiggle(parse_class(f"E(a=3,b=4) TS d={d}"), F(25, 11), F(26, 25))
+
+    def test_long_squiggle_in_closed_form(self):
+        # alpha = 1, c = 1001/1000: the guard's bound is 1001, the fixed point c
+        cc = F(1001, 1000)
+        c0 = parse_class("E(a=1,b=1) TS d=1000999/1000")
+        start = time.perf_counter()
+        out, n, proper = squiggle(c0, F(1), cc)
+        assert time.perf_counter() - start < 1
+        assert (n, proper) == (13823, True)
+        assert out == parse_class("E(a=1,b=1) TS d=1001/1000")
+        ratio = (1001 - cc) / (1001 - c0.d)  # the least n with c^n >= ratio
+        assert cc ** (n - 1) < ratio <= cc**n
+
+    def test_counts_where_c_minus_one_is_below_floats(self):
+        # alpha = 1, c - 1 = 1e-400; d is 3 iterations above the fixed point c
+        cc = 1 + F(1, 10**400)
+        top = cc / (cc - 1)
+        d = top - (top - cc) / cc**3
+        out, n, proper = squiggle(AltClass((Block("E", 1, 1),), DET_TS, d), F(1), cc)
+        assert (out.d, n, proper) == (cc, 3, True)
+
+    def test_counts_where_the_ratio_is_above_floats(self):
+        # alpha = 1, c = 3/2: the guard's bound is 3, (top - fixed)/(top - d) = 1.5e400
+        cc, d = F(3, 2), 3 - F(1, 10**400)
+        out, n, proper = squiggle(AltClass((Block("E", 1, 1),), DET_TS, d), F(1), cc)
+        ratio = (3 - cc) / (3 - d)
+        assert proper and out.d == cc
+        assert cc ** (n - 1) < ratio <= cc**n
+
+    def test_iteration_cap(self, monkeypatch):
+        c0 = parse_class("E(a=1,b=1) TS d=1000999/1000")
+        monkeypatch.setattr(rules, "SQUIGGLE_ITERATION_CAP", 13823)
+        assert squiggle(c0, F(1), F(1001, 1000))[1] == 13823
+        monkeypatch.setattr(rules, "SQUIGGLE_ITERATION_CAP", 13822)
+        with pytest.raises(RuntimeError, match="cap"):
+            squiggle(c0, F(1), F(1001, 1000))
+
+
+# A squiggle of 3,790 iterations, then one at its fixed point.
+LONG_SQUIGGLES = """atlb-proof v1
+alpha 1   c 301/300   mode ts   assumption ntime
+class 0: E(a=1,b=1) TS d=300999/1000
+step 1: squiggle
+class 1: E(a=1,b=1) TS d=301/300
+step 2: squiggle
+class 2: E(a=1,b=1) TS d=301/300
+"""
+
+
+class TestSquiggleChains:
+    def test_iterating_squiggle_counts_as_speedup(self):
+        report = verify_proof(parse_certificate(LONG_SQUIGGLES))
+        assert report.valid and report.contradiction
+        assert report.squiggles == ((1, 3790, True), (2, 0, True))
+
+    def test_squiggles_at_fixed_point_show_no_contradiction(self):
+        c0 = parse_class("A(a=0,b=3/2) E(a=1,b=1) TS d=3/2")
+        steps = [RuleStep("squiggle")] * 2
+        cert = ProofCertificate(F(1), F(3, 2), TS_MODE, "ntime", [c0, c0, c0], steps)
+        report = verify_proof(cert)
+        assert report.valid and not report.contradiction
+        assert report.squiggles == ((1, 0, True), (2, 0, True))
 
 
 def lipton_viglas_certificate(cc: Fraction) -> ProofCertificate:
