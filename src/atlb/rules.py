@@ -49,13 +49,21 @@ def _require(cond: bool, message: str):
         raise RuleError(message)
 
 
+def _speedup_parameter(c0: AltClass, x) -> Fraction:
+    """x as a Fraction, checked to lie in (0, d).  The message is built only
+    when the check fails: str() of a d past 4,300 digits raises ValueError."""
+    x = Fraction(x)
+    if not 0 < x < c0.d:
+        raise RuleError(f"speedup parameter out of range: 0 < {x} < {c0.d} fails")
+    return x
+
+
 def speedup_first(c0: AltClass, x: Fraction) -> AltClass:
     """First speedup: guess n^x intermediate configurations of a quantifier-free
     deterministic computation.  TS[d] -> E(x, max(x,1)) A(0, 1) TS[d - x]."""
-    x = Fraction(x)
     _require(not c0.blocks, "speedup_first needs a quantifier-free class")
     _require(c0.verifier == DET_TS, "speedup_first needs a deterministic verifier")
-    _require(0 < x < c0.d, f"speedup parameter out of range: 0 < {x} < {c0.d} fails")
+    x = _speedup_parameter(c0, x)
     blocks = (Block(EXISTS, x, max(x, Fraction(1))), Block(FORALL, Fraction(0), Fraction(1)))
     return AltClass(blocks, DET_TS, c0.d - x)
 
@@ -63,10 +71,9 @@ def speedup_first(c0: AltClass, x: Fraction) -> AltClass:
 def speedup(c0: AltClass, x: Fraction) -> AltClass:
     """Usual speedup: merge the new guess into the last quantifier and append a
     log-width quantifier of the opposite kind.  d' = d - x."""
-    x = Fraction(x)
     _require(len(c0.blocks) >= 1, "speedup needs at least one quantifier")
     _require(c0.verifier == DET_TS, "speedup needs a deterministic verifier")
-    _require(0 < x < c0.d, f"speedup parameter out of range: 0 < {x} < {c0.d} fails")
+    x = _speedup_parameter(c0, x)
     last = c0.blocks[-1]
     merged = Block(last.kind, max(last.a, x), max(last.b, x))
     appended = Block(_flip(last.kind), Fraction(0), last.b)
@@ -75,9 +82,8 @@ def speedup(c0: AltClass, x: Fraction) -> AltClass:
 
 def speedup_randomized(c0: AltClass, x: Fraction) -> AltClass:
     """Randomized speedup: adds two quantifiers and derandomizes the verifier."""
-    x = Fraction(x)
     _require(c0.verifier == BP_TS, "randomized speedup needs a randomized verifier")
-    _require(0 < x < c0.d, f"speedup parameter out of range: 0 < {x} < {c0.d} fails")
+    x = _speedup_parameter(c0, x)
     one = Fraction(1)
     if not c0.blocks:
         blocks = (

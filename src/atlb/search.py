@@ -13,15 +13,15 @@ The float LP (scipy/HiGHS) only steers: a feasible answer is certified by the
 exact margin of its rounded witness at the LP's tight point (each max
 variable at the max of its terms), an infeasible one by exact weak-duality
 multipliers solved on the float solution's active set (one dual path).  When
-neither certifies, the active set itself is checked exactly: its rows solved
-as equalities give a vertex, and when the vertex satisfies every row and its
-margin equals the dual bound on the same set, that margin is the exact LP
-optimum and the verdict is final (method "vertex").  Unreplayed, a feasible
-vertex's witness is its own speedup parameters; a replayed one takes those
-of one float re-solve toward the tight maxima if the rules accept them, else
-the exact simplex's.  Only when no vertex verifies, or the float solve does
-not end optimal, does one exact rational simplex solve decide (method
-"exact").  The float LPs are solved in batches: the LPs of a batch share no
+neither certifies, the exact simplex (simplex.solve) decides, with the exact
+LP optimum of either sign (method "vertex").  It starts warm, at the vertex
+of the float solution's active set, and pivots on from there when that
+vertex is not optimal; it starts cold, at the crash vertex (every speedup
+parameter 0), when the warm point is no feasible vertex or the float solve
+does not end optimal.  Unreplayed, a feasible optimum's witness is its own
+speedup parameters; a replayed one takes those of one float re-solve toward
+the tight maxima if the rules accept them, else the cold start's optimum's.
+The float LPs are solved in batches: the LPs of a batch share no
 variable and no row, so they stack into one block-diagonal LP whose
 objective is the sum of their margins, and its optimum and duals split into
 those of each block.  Scans and searches cut their annotations into fixed
@@ -42,7 +42,6 @@ with its slowdowns named grover (grover_certificate).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,8 +72,9 @@ from .rules import (
     expected_assumption,
     verify_proof,  # unused here: perfbench's tracer replaces search.verify_proof by name
 )
+from .simplex import CONST as _CONST
+from .simplex import _solve_rational, _value
 
-_CONST = -1
 _MARGIN = 0
 
 _FLOAT_TOL = 1e-9
@@ -203,19 +203,6 @@ def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _BuildAlgebra
     return lp
 
 
-def _value(e: dict, v) -> Fraction:
-    """The linear expression e (a row, a max term or a precondition) at the
-    point v, whose v[_CONST] is 1: exact, or float for a float v.  Unit
-    coefficients skip the multiply, and the sum starts at the first term, not
-    at an int 0: a tight point costs about a third less than with a plain
-    multiply-and-add loop."""
-    s = None
-    for i, coeff in e.items():
-        t = v[i] if coeff == 1 else -v[i] if coeff == -1 else coeff * v[i]
-        s = t if s is None else s + t
-    return s
-
-
 def _tight_point(lp: _BuildAlgebra, xs: list[Fraction]) -> dict[int, Fraction]:
     """The LP's point at the speedup parameters xs under the tight semantics
     the rules compute: each max variable at the max of its terms, and the
@@ -231,49 +218,7 @@ def _tight_point(lp: _BuildAlgebra, xs: list[Fraction]) -> dict[int, Fraction]:
     return v
 
 
-def _witness_margin(lp: _BuildAlgebra, xs: list[Fraction]) -> Fraction:
-    """Exact margin of the witness xs at the LP's tight point (may be <= 0)."""
-    return _tight_point(lp, xs)[_MARGIN]
-
-
 # --- Exact certification of the float answer --------------------------------
-
-
-def _solve_rational(a_rows: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Any exact solution of A w = b (free unknowns set to 0), else None.
-
-    Fraction-free Gauss-Jordan: each equation is scaled to integers, and a
-    row is eliminated by integer cross-multiplication, then divided by its
-    content (the gcd of its entries)."""
-    rows = []
-    for row in ([*r, bv] for r, bv in zip(a_rows, b)):
-        den = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (den // v.denominator) for v in row])
-    m = len(rows)
-    n = len(a_rows[0]) if m else 0
-    piv_cols = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        for i in range(m):
-            if i != r and (f := rows[i][col]):
-                row = [p * v - f * q for v, q in zip(rows[i], rows[r])]
-                g = math.gcd(*row) or 1
-                rows[i] = [v // g for v in row]
-        piv_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    if any(row[-1] for row in rows[r:]):
-        return None  # inconsistent
-    w = [Fraction(0)] * n
-    for row, col in zip(rows, piv_cols):
-        w[col] = Fraction(row[-1], row[col])
-    return w
 
 
 def _dual_bound(lp: _BuildAlgebra, support: list[int], w: list[Fraction]) -> Fraction | None:
@@ -298,19 +243,15 @@ def _dual_bound(lp: _BuildAlgebra, support: list[int], w: list[Fraction]) -> Fra
     return bound / -q[_MARGIN]
 
 
-def _tight_columns(lp: _BuildAlgebra, x) -> list[int]:
-    """The margin and the columns the float solution puts above 0."""
-    return [_MARGIN] + [i for i in range(1, lp.nvars) if x[i] > _FLOAT_TOL]
-
-
 def _active_dual_bound(lp: _BuildAlgebra, x, duals) -> Fraction | None:
     """Exact weak-duality upper bound on the margin, of any sign.  The
     multipliers solve the dual equations exactly on the float solution's
-    active set: the rows with a nonzero dual times the tight columns."""
+    active set: the rows with a nonzero dual times the tight columns (the
+    margin and those the float solution puts above 0)."""
     support = [r for r, v in enumerate(duals) if v < -_DUAL_TOL]
     if not support:
         return None
-    tight = _tight_columns(lp, x)
+    tight = [_MARGIN] + [i for i in range(1, lp.nvars) if x[i] > _FLOAT_TOL]
     a_rows = [[lp.rows[r].get(i, Fraction(0)) for r in support] for i in tight]
     b = [Fraction(-1)] + [Fraction(0)] * (len(tight) - 1)
     sol = _solve_rational(a_rows, b)
@@ -319,34 +260,34 @@ def _active_dual_bound(lp: _BuildAlgebra, x, duals) -> Fraction | None:
     return _dual_bound(lp, support, sol)
 
 
-def _active_vertex(lp: _BuildAlgebra, x, duals):
-    """(exact LP optimum, the vertex) from the float solution's active set,
-    or None when it does not verify.
+def _exact_optimum(lp: _BuildAlgebra, start) -> simplex.Vertex | None:
+    """The exact LP optimum, by simplex.solve from the vertex of start (its
+    tight rows and its columns at 0); None when start gives no feasible
+    vertex."""
+    objective = [Fraction(1)] + [Fraction(0)] * (lp.nvars - 1)
+    return simplex.solve(objective, lp.rows, *start, free=(_MARGIN,))
 
-    The primal vertex solves the active rows (zero residual or a nonzero
-    dual) as equalities on the tight columns, every other column at 0, and
-    must satisfy every row and v >= 0 exactly.  Its margin is optimal when
-    it equals the exact dual bound on the same set (_active_dual_bound)."""
+
+def _warm_start(lp: _BuildAlgebra, x, duals):
+    """The float solution's active set: the rows with a nonzero dual or a
+    zero residual, and the columns it leaves at 0."""
     at_x = {_CONST: 1, **dict(enumerate(x))}
     active = [
         r
         for r, (row, dual) in enumerate(zip(lp.rows, duals))
         if dual < -_DUAL_TOL or abs(_value(row, at_x)) <= _FLOAT_TOL
     ]
-    tight = _tight_columns(lp, x)
-    a_rows = [[lp.rows[r].get(i, Fraction(0)) for i in tight] for r in active]
-    sol = _solve_rational(a_rows, [-lp.rows[r].get(_CONST, Fraction(0)) for r in active])
-    if sol is None:
-        return None
-    v = [Fraction(0)] * lp.nvars
-    for i, vi in zip(tight, sol):
-        v[i] = vi
-    at_v = {_CONST: 1, **dict(enumerate(v))}
-    if any(vi < 0 for vi in v[1:]) or any(_value(row, at_v) < 0 for row in lp.rows):
-        return None
-    if _active_dual_bound(lp, x, duals) != v[_MARGIN]:
-        return None
-    return v[_MARGIN], v
+    return active, [i for i in range(1, lp.nvars) if x[i] <= _FLOAT_TOL]
+
+
+def _crash_start(lp: _BuildAlgebra):
+    """The active set of the crash vertex, the tight point at every speedup
+    parameter 0: each max variable at its largest term and the margin at the
+    least precondition.  Every row holds there, and the active constraints
+    determine the point: the parameters' bounds, then, in creation order, a
+    tight row per max variable, and the least precondition for the margin."""
+    v = _tight_point(lp, [0] * len(lp.xvars))
+    return [r for r, row in enumerate(lp.rows) if _value(row, v) == 0], lp.xvars
 
 
 def _rounded(lp: _BuildAlgebra, x) -> list[Fraction]:
@@ -358,7 +299,7 @@ def _vertex_witnesses(lp: _BuildAlgebra, opt: Fraction):
     """Speedup parameters to try as the witness of a feasible vertex that is
     replayed: those of one float re-solve that keeps margin >= opt/2 and
     minimizes the sum of the max variables, pushing each toward the tight
-    max the rules compute, then the exact simplex's."""
+    max the rules compute, then the crash vertex's optimum."""
     a_ub, b_ub, _ = _stacked([lp])
     c = np.ones(lp.nvars)
     c[[_MARGIN, *lp.xvars]] = 0.0
@@ -366,7 +307,8 @@ def _vertex_witnesses(lp: _BuildAlgebra, opt: Fraction):
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_HIGHS)
     if res.status == 0:
         yield _rounded(lp, res.x)
-    yield _solve_exact(lp)[1]
+    cold = _exact_optimum(lp, _crash_start(lp))
+    yield [cold.point[i] for i in lp.xvars]
 
 
 def _stacked(lps: list[_BuildAlgebra]):
@@ -422,24 +364,6 @@ def _solve_floats(lps: list[_BuildAlgebra]) -> list:
         (res.x[v0 : v0 + lp.nvars], duals[r0 : r0 + len(lp.rows)])
         for lp, (v0, r0) in zip(lps, spans)
     ]
-
-
-def _solve_exact(lp: _BuildAlgebra):
-    """Exact simplex on the same LP with the margin clamped to >= 0.
-
-    Returns (margin, xs) with margin the exact optimum (None if the clamped
-    system is infeasible, meaning the true optimum is negative)."""
-    rows = []
-    for row in lp.rows:
-        coeffs = [row.get(i, Fraction(0)) for i in range(lp.nvars)]
-        rows.append((coeffs, simplex.GE, -row.get(_CONST, Fraction(0))))
-    obj = [Fraction(0)] * lp.nvars
-    obj[_MARGIN] = Fraction(1)
-    res = simplex.solve(obj, rows)
-    if res.status != simplex.OPTIMAL:
-        return None, None
-    xs = [res.x[i] for i in lp.xvars]
-    return res.value, xs
 
 
 # --- Feasibility ------------------------------------------------------------
@@ -503,10 +427,7 @@ def _replay(a, alpha, cc, mode, xs, margin):
     every strict precondition 2/alpha clear of its bound.  A larger d0 only
     scales the same chain of classes, so a witness that fails here fails the
     tight semantics (the squiggle guard row, see _build_lp)."""
-    base = 10**6
-    if margin is not None and margin > 0:
-        base = max(base, int(2 / (alpha * margin)) + 1)
-    d0 = Fraction(base)
+    d0 = Fraction(max(10**6, int(2 / (alpha * margin)) + 1))
     try:
         steps = _annotation_steps(a, mode, [x * d0 for x in xs])
         cert, report = _run_steps(alpha, cc, mode, d0, steps)
@@ -569,34 +490,31 @@ def feasible(
     if lp is None:
         return result(False, None, [], "precondition")
 
+    vertex = None
     if sol is not None:
         x, duals = sol
         mval = x[_MARGIN]
         if mval > _FLOAT_TOL:
             xs = _rounded(lp, x)
-            margin = _witness_margin(lp, xs)
+            margin = _tight_point(lp, xs)[_MARGIN]
             if margin > 0:
                 return result(True, margin, xs, "float+primal")
         elif mval < -_FLOAT_TOL:
             bound = _active_dual_bound(lp, x, duals)
             if bound is not None and bound <= 0:
                 return result(False, bound, [], "float+dual")
-        if (vertex := _active_vertex(lp, x, duals)) is not None:
-            opt, v = vertex
-            if opt <= 0:
-                return result(False, opt, [], "vertex")
-            if not replay:  # search_best decides its winner again if need be
-                return result(True, opt, [v[i] for i in lp.xvars], "vertex")
-            for xs in _vertex_witnesses(lp, opt):
-                tight = _witness_margin(lp, xs)
-                if tight > 0:
-                    return result(True, opt, xs, "vertex", tight)
-            return result(True, opt, xs, "vertex")  # the simplex's, to replay as is
-
-    margin, xs = _solve_exact(lp)
-    if margin is None or margin <= 0:
-        return result(False, margin, [], "exact")
-    return result(True, margin, xs, "exact")
+        vertex = _exact_optimum(lp, _warm_start(lp, x, duals))
+    vertex = vertex or _exact_optimum(lp, _crash_start(lp))
+    opt = vertex.value
+    if opt <= 0:
+        return result(False, opt, [], "vertex")
+    if not replay:  # search_best decides its winner again if need be
+        return result(True, opt, [vertex.point[i] for i in lp.xvars], "vertex")
+    for xs in _vertex_witnesses(lp, opt):
+        tight = _tight_point(lp, xs)[_MARGIN]
+        if tight > 0:
+            return result(True, opt, xs, "vertex", tight)
+    return result(True, opt, xs, "vertex")  # the crash vertex's optimum, to replay as is
 
 
 def _decide_batch(jobs, replay):

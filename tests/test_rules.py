@@ -84,6 +84,33 @@ class TestSpeedupRandomized:
             speedup_randomized(parse_class("TS d=3"), F(1))
 
 
+class TestSpeedupRange:
+    # d has more digits than str() converts; the range message is built only
+    # when the check fails
+    BIG_D = F(10**4400 + 1, 10**4399)
+
+    @pytest.mark.parametrize(
+        "rule, mode, first",
+        [
+            ("speedup", TS_MODE, AltClass((Block("E", F(1), F(1)),), DET_TS, BIG_D)),
+            ("speedup_first", TS_MODE, AltClass((), DET_TS, BIG_D)),
+            ("speedup_rand", BPTS_MODE, AltClass((), BP_TS, BIG_D)),
+        ],
+    )
+    def test_valid_on_a_long_exponent(self, rule, mode, first):
+        classes, report = rules.derive(F(1), F(3, 2), mode, first, [RuleStep(rule, F(1))])
+        assert report.valid, report.first_error
+        assert classes[-1].d == self.BIG_D - 1
+
+    @pytest.mark.parametrize(
+        "rule, first",
+        [(speedup, "E(a=1,b=1) TS d=2"), (speedup_first, "TS d=2"), (speedup_randomized, "BPTS d=2")],
+    )
+    def test_failed_check_reports_the_range(self, rule, first):
+        with pytest.raises(RuleError, match="out of range: 0 < 3 < 2 fails"):
+            rule(parse_class(first), F(3))
+
+
 class TestSlowdownGeneric:
     def test_formula(self):
         out = slowdown_generic(parse_class("E(a=1,b=1) A(a=0,b=1) TS d=3"), F(2, 3), F(2))

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import tableau
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
@@ -24,9 +25,10 @@ from atlb.search import (
     _CONST,
     _MARGIN,
     _build_lp,
-    _solve_exact,
+    _crash_start,
+    _exact_optimum,
     _tight_point,
-    _witness_margin,
+    _warm_start,
     annotation_certificate,
     best_exponent,
     bpts_grover_proof,
@@ -44,16 +46,33 @@ from atlb.search import (
 F = Fraction
 
 
+def _oracle_margin(lp):
+    """The LP's maximal margin by the two-phase tableau oracle, clamped to
+    >= 0 as the oracle's columns are: None when the optimum is negative."""
+    rows = [
+        ([row.get(i, F(0)) for i in range(lp.nvars)], tableau.GE, -row.get(_CONST, F(0)))
+        for row in lp.rows
+    ]
+    res = tableau.solve([F(1)] + [F(0)] * (lp.nvars - 1), rows)
+    return res.value if res.status == tableau.OPTIMAL else None
+
+
 def _lp_optimum(lp, shift=F(10)):
-    """Exact maximal margin of the LP.  _solve_exact clamps the margin to
-    >= 0, so it is given the LP in margin + shift."""
+    """Exact maximal margin of the LP, of either sign.  The oracle clamps
+    the margin to >= 0, so it is given the LP in margin + shift."""
     shifted = copy.copy(lp)
     shifted.rows = [
         {**row, _CONST: row.get(_CONST, F(0)) - shift * row.get(_MARGIN, F(0))} for row in lp.rows
     ]
-    margin, _ = _solve_exact(shifted)
+    margin = _oracle_margin(shifted)
     assert margin is not None and margin > 0
     return margin - shift
+
+
+def _cold_start(lp):
+    """The exact optimum from the LP's crash vertex, and its speedup parameters."""
+    cold = _exact_optimum(lp, _crash_start(lp))
+    return cold.value, [cold.point[i] for i in lp.xvars]
 
 
 class TestFeasible:
@@ -72,7 +91,7 @@ class TestFeasible:
         assert not f.feasible
         # exact weak-duality upper bound on the margin
         assert f.margin is not None and f.margin <= 0
-        assert f.method in ("float+dual", "exact")
+        assert f.method in ("float+dual", "vertex")
 
     def test_100_alpha_two_thirds(self):
         # threshold is sqrt(1+alpha)/alpha = sqrt(15)/2 ~ 1.9365
@@ -95,7 +114,7 @@ class TestFeasible:
             for alpha, cc in ((F(1), F(3, 2)), (F(2, 3), F(2))):
                 f = feasible(a, alpha, cc, mode)
                 assert (f.feasible, f.method, f.margin) == (False, "precondition", None), a
-                margin, _ = _solve_exact(_build_lp(a, alpha, cc, mode))
+                margin = _oracle_margin(_build_lp(a, alpha, cc, mode))
                 assert margin is None or margin <= 0, (a, alpha, cc)
 
     def test_replay_skippable(self):
@@ -111,27 +130,36 @@ class TestFeasible:
     def test_exact_simplex_agrees_with_float_path(self):
         for a in ("100", "1020", "1200", "10100"):
             for cc in (F(13, 10), F(7, 5), F(3, 2), F(8, 5)):
-                lp = _build_lp(a, F(1), cc, TS_MODE)
-                margin, _ = _solve_exact(lp)
+                margin = _oracle_margin(_build_lp(a, F(1), cc, TS_MODE))
                 got = feasible(a, F(1), cc, replay=False).feasible
                 want = margin is not None and margin > 0
                 assert got == want, (a, cc)
 
     def test_exact_simplex_decides_feasible(self):
         # the float witness fails the tight check here, and so does the
-        # re-solve's: the verified vertex decides, and the replayed witness
-        # is the exact simplex's
+        # re-solve's: the warm start decides, and the replayed witness is
+        # the optimum the exact simplex reaches from the crash vertex
         f = feasible("10102100", F(1), F(8, 5))
         assert f.feasible and f.method == "vertex"
         lp = _build_lp("10102100", F(1), F(8, 5), TS_MODE)
-        assert f.margin == F(881, 9425) == _solve_exact(lp)[0]
-        assert f.witness == _solve_exact(lp)[1]
+        assert f.margin == F(881, 9425) == _oracle_margin(lp)
+        assert (f.margin, f.witness) == _cold_start(lp)
         assert (f.certificate is None) == (not f.replay_ok)
+
+    def test_exact_simplex_pivots_on_from_its_start(self):
+        # HiGHS's active set is the optimal vertex: no pivot.  The crash
+        # vertex is feasible but not optimal: a few pivots to the same optimum
+        job = ("10102100", F(1), F(8, 5), TS_MODE)
+        lp, (x, duals) = search._solve_batch([job])[0]
+        warm = _exact_optimum(lp, _warm_start(lp, x, duals))
+        cold = _exact_optimum(lp, _crash_start(lp))
+        assert (warm.value, warm.pivots) == (F(881, 9425), 0)
+        assert cold.value == warm.value and 0 < cold.pivots <= 9
 
     def test_verified_vertex_is_final_without_replay(self, monkeypatch):
         # without replay a verified vertex returns at once, with its own
-        # speedup parameters as witness: no witness re-solve, no simplex.  A
-        # lone LP is solved with a dense matrix
+        # speedup parameters as witness: no witness re-solve, no cold start.
+        # A lone LP is solved with a dense matrix
         calls, linprog = [], search.linprog
 
         def counted(*args, **kwargs):
@@ -139,18 +167,18 @@ class TestFeasible:
             return linprog(*args, **kwargs)
 
         monkeypatch.setattr(search, "linprog", counted)
-        monkeypatch.setattr(simplex, "solve", lambda *args: pytest.fail("exact simplex called"))
+        monkeypatch.setattr(search, "_crash_start", lambda *args: pytest.fail("cold start"))
         f = feasible("10102100", F(1), F(8, 5), replay=False)
         assert (f.feasible, f.method, f.margin) == (True, "vertex", F(881, 9425))
         assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
 
     def test_simplex_witness_of_vertex_replays(self):
-        # the re-solve gives no witness the rules accept, the exact
-        # simplex's replays; verdict, margin and method stay the vertex's
+        # the re-solve gives no witness the rules accept, the cold start's
+        # optimum replays; verdict, margin and method stay the vertex's
         f = feasible("102011000", F(2, 3), F(8, 5))
         assert (f.feasible, f.method, f.replay_ok) == (True, "vertex", True)
         lp = _build_lp("102011000", F(2, 3), F(8, 5), TS_MODE)
-        assert (f.margin, f.witness) == _solve_exact(lp)
+        assert (f.margin, f.witness) == _cold_start(lp)
         assert verify_proof(f.certificate).contradiction
 
     def test_near_zero_margin_decided_on_first_solve(self, monkeypatch):
@@ -164,15 +192,14 @@ class TestFeasible:
         monkeypatch.setattr(simplex, "solve", lambda *args: pytest.fail("exact simplex called"))
         f = feasible(a, F(1), cc, replay=False)
         assert (f.feasible, f.method, len(calls)) == (True, "float+primal", 1)
-        assert f.margin == _witness_margin(_build_lp(a, F(1), cc, TS_MODE), f.witness)
+        assert f.margin == _tight_point(_build_lp(a, F(1), cc, TS_MODE), f.witness)[_MARGIN]
         monkeypatch.undo()
-        assert 0 < f.margin <= F(209, 2777668320) == _solve_exact(_build_lp(a, F(1), cc, TS_MODE))[0]
+        assert 0 < f.margin <= F(209, 2777668320) == _oracle_margin(_build_lp(a, F(1), cc, TS_MODE))
 
     def test_infeasible_vertex_margin_is_lp_optimum(self):
         # c is a convergent of sqrt(2) just above it: the float margin is
         # within HiGHS's tolerance of 0, so neither float check settles.  The
-        # active-set vertex reports the exact negative optimum; the exact
-        # simplex, which clamps the margin at 0, would report None.
+        # exact simplex reports the exact negative optimum.
         cc = F(66922, 47321)
         f = feasible("100", F(1), cc)
         assert (f.feasible, f.method) == (False, "vertex")
@@ -180,12 +207,17 @@ class TestFeasible:
 
     @pytest.mark.parametrize("a, cc", [("10102100", F(1517, 1000)), ("100", F(66922, 47321))])
     def test_unverified_vertex_falls_back_to_exact_simplex(self, a, cc, monkeypatch):
-        vertex = feasible(a, F(1), cc)
-        assert vertex.method == "vertex"
-        monkeypatch.setattr(search, "_active_vertex", lambda *args: None)
-        exact = feasible(a, F(1), cc)
-        assert (exact.feasible, exact.method) == (vertex.feasible, "exact")
-        assert exact.margin == (vertex.margin if vertex.feasible else None)
+        # with the warm start rejected (no active row gives no vertex) the
+        # exact simplex starts cold, at the crash vertex, and reaches the
+        # same verdict and LP optimum, negative ones included
+        warm = feasible(a, F(1), cc)
+        assert warm.method == "vertex"
+        starts, crash_start = [], search._crash_start
+        monkeypatch.setattr(search, "_warm_start", lambda *args: ([], []))
+        monkeypatch.setattr(search, "_crash_start", lambda lp: starts.append(1) or crash_start(lp))
+        cold = feasible(a, F(1), cc)
+        assert starts
+        assert (cold.feasible, cold.method, cold.margin) == (warm.feasible, "vertex", warm.margin)
 
     def test_dual_margin_is_lp_optimum(self):
         # the multipliers are solved exactly on the optimal active set, so an
@@ -236,12 +268,48 @@ def lp_decisions(draw):
 @given(lp_decisions())
 @settings(max_examples=30, deadline=None)
 def test_active_vertex_is_lp_optimum(job):
-    # the vertex of HiGHS's active set verifies, and its margin (what a
-    # "vertex" decision reports) is the exact LP optimum
+    # HiGHS's active set gives a feasible vertex, and the exact simplex from
+    # it (warm) and from the crash vertex (cold) reaches the tableau
+    # oracle's optimum, what a "vertex" decision reports.  Its multipliers
+    # bound the margin at exactly that optimum
     lp, (x, duals) = search._solve_batch([job])[0]
-    vertex = search._active_vertex(lp, x, duals)
-    assert vertex is not None
-    assert vertex[0] == _lp_optimum(lp, shift=F(math.ceil(max(0.0, -x[_MARGIN]))) + 1)
+    optimum = _lp_optimum(lp, shift=F(math.ceil(max(0.0, -x[_MARGIN]))) + 1)
+    for start in (_warm_start(lp, x, duals), _crash_start(lp)):
+        vertex = _exact_optimum(lp, start)
+        assert vertex is not None
+        assert vertex.value == optimum == vertex.point[_MARGIN]
+        assert search._dual_bound(lp, list(vertex.duals), list(vertex.duals.values())) == optimum
+
+
+def _rank(vectors):
+    """The rank of the vectors, by Fraction elimination."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@given(lp_decisions())
+@settings(max_examples=60, deadline=None)
+def test_crash_point_is_a_vertex(job):
+    # the tight point at every speedup parameter 0 satisfies every row and
+    # bound exactly, and its active constraints (tight rows, bounds of the
+    # columns at 0) have rank nvars: the exact simplex's cold start
+    lp = search._lp_of(*job)
+    v = _tight_point(lp, [0] * len(lp.xvars))
+    assert all(search._value(row, v) >= 0 for row in lp.rows)
+    assert all(v[i] >= 0 for i in range(1, lp.nvars))
+    tight_rows = [[row.get(i, 0) for i in range(lp.nvars)] for row in lp.rows if search._value(row, v) == 0]
+    bounds = [[int(i == j) for i in range(lp.nvars)] for j in range(1, lp.nvars) if v[j] == 0]
+    assert _rank(tight_rows + bounds) == lp.nvars
 
 
 @given(lp_decisions())
@@ -254,7 +322,7 @@ def test_tight_point_with_positive_margin_is_lp_feasible(job):
     v = _tight_point(lp, search._rounded(lp, x))
     if v[_MARGIN] > 0:
         assert all(search._value(row, v) >= 0 for row in lp.rows)
-        assert v[_MARGIN] <= _solve_exact(lp)[0]
+        assert v[_MARGIN] <= _oracle_margin(lp)
 
 
 class TestBestExponent:
@@ -703,15 +771,16 @@ class TestBatchedDecisions:
             elif f.method == "float+primal":
                 assert f.margin > 0
                 lp = _build_lp(f.annotation, alpha, cc, TS_MODE)
-                assert f.margin == _witness_margin(lp, f.witness)
+                assert f.margin == _tight_point(lp, f.witness)[_MARGIN]
             else:
-                assert f.method in ("vertex", "exact") and f.margin > 0
+                assert f.method == "vertex" and f.margin > 0
                 lp = _build_lp(f.annotation, alpha, cc, TS_MODE)
-                assert f.margin == _solve_exact(lp)[0]
+                assert f.margin == _oracle_margin(lp)
 
     def test_failed_float_solve_falls_to_exact_simplex(self, monkeypatch):
         # a batch whose solve does not end optimal sends every block to the
-        # exact simplex; annotations with a '12' have no LP, so no block
+        # exact simplex's cold start; annotations with a '12' have no LP, so
+        # no block
         want = optimality_scan(F(1), F(3, 2), 6)
         monkeypatch.setattr(search, "linprog", lambda *args, **kwargs: OptimizeResult(status=4))
         decided = _record_decisions(monkeypatch)
@@ -720,7 +789,7 @@ class TestBatchedDecisions:
             (e.annotation, e.feasible, e.replay_ok) for e in want.entries
         ]
         assert len(decided) == got.total
-        assert {f.method for f in decided if "12" not in f.annotation} == {"exact"}
+        assert {f.method for f in decided if "12" not in f.annotation} == {"vertex"}
         assert {f.method for f in decided if "12" in f.annotation} == {"precondition"}
 
 
@@ -809,15 +878,15 @@ def test_benchmark_answers_match_reference(workload):
         assert outcome.wrong == [], (str(inputs), outcome.wrong)
 
 
-def test_scan_prove_needs_no_exact_simplex(monkeypatch):
-    # every input of the scan-prove workload is decided without the exact
-    # simplex, and every feasible verdict replays
+def test_scan_prove_needs_no_cold_start(monkeypatch):
+    # every input of the scan-prove workload is decided without a cold
+    # start of the exact simplex, and every feasible verdict replays
     wl = _load_perfbench("workloads").WORKLOADS["scan-prove"]
 
-    def no_simplex(*args, **kwargs):
-        raise AssertionError("exact simplex called")
+    def no_cold_start(*args, **kwargs):
+        raise AssertionError("exact simplex started cold")
 
-    monkeypatch.setattr(simplex, "solve", no_simplex)
+    monkeypatch.setattr(search, "_crash_start", no_cold_start)
     for cc in wl.domain:
         report = wl.run(cc)
         assert report.feasible_entries and report.replay_failed == 0, cc
@@ -847,3 +916,9 @@ def test_perfbench_tracer_binds_search():
         optimality_scan(F(1), F(8, 5), 8)
     assert tracer.replay_failed == 1
     assert "precondition" in tracer.methods
+    # the exact simplex is traced as its own layer: this witness needs the
+    # cold start
+    tracer = _load_perfbench("tracing").Tracer()
+    with tracer.installed():
+        assert feasible("102011000", F(2, 3), F(8, 5)).replay_ok
+    assert "simplex" in [span[0] for span in tracer.spans]
