@@ -169,9 +169,10 @@ def squiggle(
     return AltClass(c0.blocks[:-1] + (block,), DET_TS, fixed), n, True
 
 
-def _iterations(q: Fraction, ratio: Fraction) -> int:
+def _iterations(q: Fraction, ratio: Fraction, unit: str = "squiggle iteration") -> int:
     """The least n >= 1 with q^n >= ratio (q, ratio > 1), checked exactly near
-    a log estimate; RuntimeError past the cap, with no power of q beyond it."""
+    a log estimate; RuntimeError naming the unit counted past the cap, with no
+    power of q beyond it."""
     cap = SQUIGGLE_ITERATION_CAP
     estimate = _log(ratio) / _log(q)
     n = cap + 1  # above twice the cap the estimate decides: its error is far below 2x
@@ -183,7 +184,7 @@ def _iterations(q: Fraction, ratio: Fraction) -> int:
         while n <= cap and below * q < ratio:  # n too small
             n, below = n + 1, below * q
     if n > cap:
-        raise RuntimeError(f"squiggle iteration cap exceeded (cap={cap})")
+        raise RuntimeError(f"{unit} cap exceeded (cap={cap})")
     return n
 
 

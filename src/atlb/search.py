@@ -67,7 +67,8 @@ from .rules import (
     ProofReport,
     RuleError,
     RuleStep,
-    apply_step,
+    _iterations,
+    apply_step,  # unused here: perfbench's tracer replaces search.apply_step by name
     derive,
     expected_assumption,
     verify_proof,  # unused here: perfbench's tracer replaces search.verify_proof by name
@@ -97,11 +98,12 @@ class _BuildAlgebra:
     """The LP, built from linear expressions {var index: coeff, _CONST: coeff}.
 
     Besides the rows it keeps each max variable's terms, in creation order,
-    and each strict precondition: what _tight_point evaluates."""
+    and each strict precondition: what _tight_point evaluates.  Coefficients
+    that do not depend on c are the ints 1 and -1, not Fractions."""
 
     def __init__(self):
         self.nvars = 1  # var 0 is the margin
-        self.rows: list[dict[int, Fraction]] = []  # each row means expr >= 0
+        self.rows: list[dict[int, Fraction | int]] = []  # each row means expr >= 0
         self.xvars: list[int] = []
         self.maxes: list[tuple[int, list[dict]]] = []  # (max variable, its terms)
         self.preconditions: list[dict] = []  # each means expr > 0
@@ -114,18 +116,17 @@ class _BuildAlgebra:
     def x(self) -> dict:
         i = self._new_var()
         self.xvars.append(i)
-        return {i: Fraction(1)}
+        return {i: 1}
 
     def sub(self, e1: dict, e2: dict) -> dict:
         out = dict(e1)
         for k, v in e2.items():
-            out[k] = out.get(k, Fraction(0)) - v
+            out[k] = out.get(k, 0) - v
             if not out[k]:
                 del out[k]
         return out
 
     def scale(self, fac: Fraction, e: dict) -> dict:
-        fac = Fraction(fac)
         return {k: fac * v for k, v in e.items()} if fac else {}
 
     def max_of(self, terms: list[dict]) -> dict:
@@ -137,12 +138,12 @@ class _BuildAlgebra:
         i = self._new_var()
         self.maxes.append((i, terms))
         for t in terms:
-            self.rows.append(self.sub({i: Fraction(1)}, t))
-        return {i: Fraction(1)}
+            self.rows.append(self.sub({i: 1}, t))
+        return {i: 1}
 
     def precondition(self, e: dict):
         self.preconditions.append(e)
-        self.rows.append(self.sub(e, {_MARGIN: Fraction(1)}))
+        self.rows.append(self.sub(e, {_MARGIN: 1}))
 
 
 def _rule_names(a: str, mode: str):
@@ -159,7 +160,7 @@ def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _BuildAlgebra
     lp = _BuildAlgebra()
     zero: dict = {}
     blocks: list[tuple] = []  # (a value, b value); constant-1 floors are zero
-    d = {_CONST: Fraction(1)}
+    d = {_CONST: 1}
     for rule in _rule_names(a, mode):
         if rule.startswith("speedup"):
             x = lp.x()
@@ -199,7 +200,7 @@ def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _BuildAlgebra
             ratio = alpha * cc / (alpha * cc - 1)
             lp.precondition(lp.sub(lp.scale(ratio, a0), d))
             d = lp.max_of([lp.scale(cc, a0), lp.scale(cc, b0)])
-    lp.precondition(lp.sub({_CONST: Fraction(1)}, d))
+    lp.precondition(lp.sub({_CONST: 1}, d))
     return lp
 
 
@@ -227,7 +228,7 @@ def _dual_bound(lp: _BuildAlgebra, support: list[int], w: list[Fraction]) -> Fra
     coefficient q_i is <= 0 (and the free margin's is < 0) then
     margin <= bound / (-q_margin), whatever its sign."""
     q: dict[int, Fraction] = {}
-    bound = Fraction(0)
+    bound = 0
     for r, wr in zip(support, w):
         if not wr:
             continue
@@ -235,8 +236,8 @@ def _dual_bound(lp: _BuildAlgebra, support: list[int], w: list[Fraction]) -> Fra
             if i == _CONST:
                 bound += wr * coeff
             else:
-                q[i] = q.get(i, Fraction(0)) + wr * coeff
-    if q.get(_MARGIN, Fraction(0)) >= 0:
+                q[i] = q.get(i, 0) + wr * coeff
+    if q.get(_MARGIN, 0) >= 0:
         return None
     if any(v > 0 for i, v in q.items() if i != _MARGIN):
         return None
@@ -252,8 +253,8 @@ def _active_dual_bound(lp: _BuildAlgebra, x, duals) -> Fraction | None:
     if not support:
         return None
     tight = [_MARGIN] + [i for i in range(1, lp.nvars) if x[i] > _FLOAT_TOL]
-    a_rows = [[lp.rows[r].get(i, Fraction(0)) for r in support] for i in tight]
-    b = [Fraction(-1)] + [Fraction(0)] * (len(tight) - 1)
+    a_rows = [[lp.rows[r].get(i, 0) for r in support] for i in tight]
+    b = [-1] + [0] * (len(tight) - 1)
     sol = _solve_rational(a_rows, b)
     if sol is None or any(v < 0 for v in sol):
         return None
@@ -264,7 +265,7 @@ def _exact_optimum(lp: _BuildAlgebra, start) -> simplex.Vertex | None:
     """The exact LP optimum, by simplex.solve from the vertex of start (its
     tight rows and its columns at 0); None when start gives no feasible
     vertex."""
-    objective = [Fraction(1)] + [Fraction(0)] * (lp.nvars - 1)
+    objective = [1] + [0] * (lp.nvars - 1)
     return simplex.solve(objective, lp.rows, *start, free=(_MARGIN,))
 
 
@@ -295,11 +296,11 @@ def _rounded(lp: _BuildAlgebra, x) -> list[Fraction]:
     return [Fraction(float(x[i])).limit_denominator(10**12) for i in lp.xvars]
 
 
-def _vertex_witnesses(lp: _BuildAlgebra, opt: Fraction):
+def _vertex_witnesses(lp: _BuildAlgebra, opt: Fraction, cold: simplex.Vertex | None):
     """Speedup parameters to try as the witness of a feasible vertex that is
     replayed: those of one float re-solve that keeps margin >= opt/2 and
     minimizes the sum of the max variables, pushing each toward the tight
-    max the rules compute, then the crash vertex's optimum."""
+    max the rules compute, then the crash vertex's optimum: cold, if given."""
     a_ub, b_ub, _ = _stacked([lp])
     c = np.ones(lp.nvars)
     c[[_MARGIN, *lp.xvars]] = 0.0
@@ -307,7 +308,7 @@ def _vertex_witnesses(lp: _BuildAlgebra, opt: Fraction):
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_HIGHS)
     if res.status == 0:
         yield _rounded(lp, res.x)
-    cold = _exact_optimum(lp, _crash_start(lp))
+    cold = cold or _exact_optimum(lp, _crash_start(lp))
     yield [cold.point[i] for i in lp.xvars]
 
 
@@ -490,7 +491,7 @@ def feasible(
     if lp is None:
         return result(False, None, [], "precondition")
 
-    vertex = None
+    warm = None
     if sol is not None:
         x, duals = sol
         mval = x[_MARGIN]
@@ -503,14 +504,15 @@ def feasible(
             bound = _active_dual_bound(lp, x, duals)
             if bound is not None and bound <= 0:
                 return result(False, bound, [], "float+dual")
-        vertex = _exact_optimum(lp, _warm_start(lp, x, duals))
-    vertex = vertex or _exact_optimum(lp, _crash_start(lp))
+        warm = _exact_optimum(lp, _warm_start(lp, x, duals))
+    cold = None if warm else _exact_optimum(lp, _crash_start(lp))
+    vertex = warm or cold
     opt = vertex.value
     if opt <= 0:
         return result(False, opt, [], "vertex")
     if not replay:  # search_best decides its winner again if need be
         return result(True, opt, [vertex.point[i] for i in lp.xvars], "vertex")
-    for xs in _vertex_witnesses(lp, opt):
+    for xs in _vertex_witnesses(lp, opt, cold):
         tight = _tight_point(lp, xs)[_MARGIN]
         if tight > 0:
             return result(True, opt, xs, "vertex", tight)
@@ -748,23 +750,20 @@ def bpts_proof(k: int, cc: Fraction, d: Fraction | None = None) -> ProofCertific
 def bpts_grover_proof(cc: Fraction, d: Fraction | None = None) -> ProofCertificate:
     """Certificate for the repeated grover contraction on a randomized
     verifier: randomized speedup with x = 2d/3, two normal slowdowns, then
-    grover steps while they shrink the exponent, then a final slowdown.
-    Shows a contradiction exactly when c < 3/2."""
+    grover rounds while they shrink the exponent, then a final slowdown.
+    Shows a contradiction exactly when c < 3/2.
+
+    The slowdowns leave d = 2c^2*d0/3, a round sets d to max(2c*d/3, c), and
+    for c < 3/2 the rounds run to d <= d0/c (> c as d0 >= 10), where the last
+    slowdown lands at or below d0: the least n >= 0 with (3/(2c))^n >= 2c^3/3."""
     cc = Fraction(cc)
     if cc <= 1:
         raise ValueError(f"need c > 1: c={cc}")
     d0 = max(Fraction(d) if d is not None else Fraction(10), Fraction(10))
+    ratio = 2 * cc**3 / 3
+    n = 0 if cc >= Fraction(3, 2) or ratio <= 1 else _iterations(3 / (2 * cc), ratio, "grover round")
     steps = [RuleStep("speedup_rand", 2 * d0 / 3)] + [RuleStep("slowdown")] * 2
-    cls = derive(Fraction(1), cc, BPTS_MODE, AltClass((), BP_TS, d0), steps)[0][-1]
-    for _ in range(10**5):
-        if cc * cls.d <= d0:
-            break  # the final slowdown already lands at or below d0
-        nxt, _ = apply_step(cls, RuleStep("grover"), Fraction(1), cc, BPTS_MODE)
-        if nxt.d >= cls.d:
-            break  # no contraction at this c
-        steps.append(RuleStep("grover"))
-        cls = nxt
-    steps.append(RuleStep("slowdown"))
+    steps += [RuleStep("grover")] * n + [RuleStep("slowdown")]
     return _run_steps(Fraction(1), cc, BPTS_MODE, d0, steps)[0]
 
 

@@ -3,10 +3,11 @@ linear solver."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atlb.kernel import (
+    BP_TS,
     BPTS_MODE,
     DET_TS,
     EXISTS,
@@ -20,8 +21,16 @@ from atlb.kernel import (
     parse_class,
     validate_annotation,
 )
-from atlb.rules import slowdown_generic, speedup, speedup_first, squiggle
-from atlb.search import _solve_rational
+from atlb.rules import (
+    RuleStep,
+    derive,
+    grover_round,
+    slowdown_generic,
+    speedup,
+    speedup_first,
+    squiggle,
+)
+from atlb.search import _run_steps, _solve_rational, bpts_grover_proof
 
 F = Fraction
 
@@ -142,6 +151,35 @@ class TestSquiggleClosedForm:
     def test_matches_iteration(self, case):
         cls, alpha, cc = case
         assert squiggle(cls, alpha, cc) == iterated_squiggle(cls, alpha, cc)
+
+
+def probed_grover_proof(cc, d=None):
+    """bpts_grover_proof by probing, the oracle of its closed-form round
+    count: after the speedup and two slowdowns, a grover round while the
+    final slowdown would land above d0 and the round shrinks d."""
+    d0 = max(F(d) if d is not None else F(10), F(10))
+    steps = [RuleStep("speedup_rand", 2 * d0 / 3)] + [RuleStep("slowdown")] * 2
+    cls = derive(F(1), cc, BPTS_MODE, AltClass((), BP_TS, d0), steps)[0][-1]
+    while cc * cls.d > d0:
+        nxt = grover_round(cls, cc)
+        if nxt.d >= cls.d:
+            break  # no contraction at this c
+        steps.append(RuleStep("grover"))
+        cls = nxt
+    steps.append(RuleStep("slowdown"))
+    return _run_steps(F(1), cc, BPTS_MODE, d0, steps)[0]
+
+
+class TestGroverRoundCount:
+    @given(
+        st.fractions(min_value=F(1001, 1000), max_value=F(1999, 1000), max_denominator=1000),
+        st.sampled_from([None] + [10**k for k in range(1, 7)]),
+    )
+    @example(F(1499, 1000), 10**6)  # 1,213 rounds, as at every d0
+    @example(F(3, 2), None)  # r = 1: no round
+    @settings(max_examples=60, deadline=None)
+    def test_matches_probing(self, cc, d):
+        assert bpts_grover_proof(cc, d) == probed_grover_proof(cc, d)
 
 
 class TestAnnotations:

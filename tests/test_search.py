@@ -557,6 +557,22 @@ class TestBptsGroverProof:
         cert = bpts_grover_proof(F(149, 100))
         assert any(s.rule == "grover" for s in cert.steps)
 
+    @pytest.mark.parametrize("cc, rounds", [(F(1499, 1000), 1213), (F(14999, 10000), 12161)])
+    def test_rounds_near_three_halves_contradict(self, cc, rounds):
+        # the round count grows like 1/log(3/(2c)); at 14999/10000 the
+        # classes' numbers pass the int-to-str digit limit
+        cert = bpts_grover_proof(cc)
+        assert sum(s.rule == "grover" for s in cert.steps) == rounds
+        assert len(cert.steps) == rounds + 4
+        rep = verify_proof(cert)
+        assert rep.valid and rep.contradiction
+
+    def test_rounds_past_iteration_cap_raise(self, monkeypatch):
+        # the rounds are counted as the squiggle's iterations, under its cap
+        monkeypatch.setattr(rules, "SQUIGGLE_ITERATION_CAP", 1000)
+        with pytest.raises(RuntimeError, match="grover round cap exceeded"):
+            bpts_grover_proof(F(1499, 1000))
+
 
 class TestNamedConstructorsAreAnnotations:
     @pytest.mark.parametrize(
@@ -791,6 +807,46 @@ class TestBatchedDecisions:
         assert len(decided) == got.total
         assert {f.method for f in decided if "12" not in f.annotation} == {"vertex"}
         assert {f.method for f in decided if "12" in f.annotation} == {"precondition"}
+
+    def test_cold_start_verdict_is_the_ladders_last_rung(self, monkeypatch):
+        # with every float solve failing each LP decision starts cold once:
+        # the witness ladder reuses the verdict's own vertex
+        monkeypatch.setattr(search, "linprog", lambda *args, **kwargs: OptimizeResult(status=4))
+        starts, crash_start = [], search._crash_start
+        monkeypatch.setattr(search, "_crash_start", lambda lp: starts.append(1) or crash_start(lp))
+        report = optimality_scan(F(2, 3), F(8, 5), 8)
+        assert sum(e.method == "vertex" for e in report.entries) == len(starts) == 56
+        assert report.replay_failed == 4
+
+
+def _exact_numbers(entries):
+    """Every margin, witness entry and certificate number of the entries."""
+    for e in entries:
+        if e.margin is not None:
+            yield e.margin
+        yield from e.witness
+        if e.certificate is not None:
+            yield from _certificate_numbers(e.certificate)
+
+
+def _certificate_numbers(cert):
+    yield from (cert.alpha, cert.c)
+    yield from (s.x for s in cert.steps if s.x is not None)
+    for cls in cert.classes:
+        yield cls.d
+        for block in cls.blocks:
+            yield from (block.a, block.b)
+
+
+def test_exact_layer_returns_fractions():
+    # the LP's coefficients 0 and +-1 are ints; a division of two ints would
+    # silently give a float
+    entries = optimality_scan(F(1), F(1517, 1000), 8).entries
+    entries += optimality_scan(F(4, 5), F(17, 10), 8, BPTS_MODE).entries
+    assert {"float+primal", "float+dual", "vertex"} <= {e.method for e in entries}
+    best = search_best(6, F(2, 3))
+    numbers = [*_exact_numbers(entries), best.best_c, *_certificate_numbers(best.certificate)]
+    assert numbers and all(type(v) is Fraction for v in numbers)
 
 
 def test_search_best_independent_of_workers():
