@@ -8,7 +8,8 @@ writes to OUT, one line each:
   annotations of length <= 8, at alpha in {1, 2/3, 4/5} and each c in
   {7/5, 3/2, 1517/1000, 8/5, 17/10, 2, 9/4} below (1+alpha)/alpha
   (7,290 decisions): mode, alpha, c, annotation, feasible, margin,
-  replay_ok, method;
+  replay_ok, method; then the count of feasible entries without a
+  replayed certificate (replay failed);
 - the search_best(8, alpha) answer, ts at alpha in {1, 2/3, 3/4, 4/5, 9/10}
   and bpts at alpha in {1, 2/3, 9/10}: mode, alpha, annotation, best c,
   and whether its certificate verifies to a contradiction;
@@ -26,10 +27,9 @@ writes to OUT, one line each:
   certificates are not counted, but the apply_step calls they make are.
   A simplex call is one run of the exact simplex from one start: a warm
   start for each decision that neither float check settles (each "vertex"
-  verdict with a float solution), a cold start for each warm point that is
-  no feasible vertex or missing float solution, and a cold start for each
-  replayed feasible vertex whose float re-solve gives no witness the rules
-  accept (in the sweep, 106 warm starts and 30 cold ones);
+  verdict with a float solution) and a cold start for each warm point that
+  is no feasible vertex or missing float solution (in the sweep, 106 warm
+  starts and no cold one);
 - a sha256 over the formatted certificates of each part that builds them:
   the sweep's replayed entries, the search winners, and the named proofs
   (the bpts proofs at c in {7/5, 3/2} and good_proof at three (alpha, c, k));
@@ -79,6 +79,7 @@ def main(out_path: str) -> None:
         counted(module, "verify_proof", calls)
     lines = []
     certs: list = []
+    replay_failed = 0
 
     def part_done(name):
         lines.append(
@@ -97,10 +98,12 @@ def main(out_path: str) -> None:
                 for e in search.optimality_scan(alpha, cc, max_len, mode).entries:
                     if e.certificate is not None:
                         certs.append(e.certificate)
+                    replay_failed += e.feasible and not e.replay_ok
                     lines.append(
                         f"scan {mode} {alpha} {cc} {e.annotation} {e.feasible} {e.margin} "
                         f"{e.replay_ok} {e.method}"
                     )
+    lines.append(f"replay failed: {replay_failed}")
     part_done("sweep")
 
     for mode, alpha in SEARCHES:

@@ -18,9 +18,9 @@ LP optimum of either sign (method "vertex").  It starts warm, at the vertex
 of the float solution's active set, and pivots on from there when that
 vertex is not optimal; it starts cold, at the crash vertex (every speedup
 parameter 0), when the warm point is no feasible vertex or the float solve
-does not end optimal.  Unreplayed, a feasible optimum's witness is its own
-speedup parameters; a replayed one takes those of one float re-solve toward
-the tight maxima if the rules accept them, else the cold start's optimum's.
+does not end optimal.  A feasible optimum's witness is its own speedup
+parameters, or, when replayed, those of one float re-solve toward the tight
+maxima if the rules accept them.
 The float LPs are solved in batches: the LPs of a batch share no
 variable and no row, so they stack into one block-diagonal LP whose
 objective is the sum of their margins, and its optimum and duals split into
@@ -82,6 +82,10 @@ _FLOAT_TOL = 1e-9
 _DUAL_TOL = 1e-11  # a row dual below -_DUAL_TOL is nonzero
 # at HiGHS's default 1e-7 a row broken by ~1e-8 drops out of the active set
 _HIGHS = {"primal_feasibility_tolerance": _FLOAT_TOL}
+# The witness re-solve of a replayed vertex keeps margin >= opt/_WITNESS_FLOOR.
+# Of the 106 such verdicts of scripts/decisions.py's sweep, its witness
+# replays 76 times at a floor of opt/2, 101 at opt/10 and all at opt/100.
+_WITNESS_FLOOR = 100
 
 # LPs per float solve in scans and bisection rounds.  On a 2-vCPU Xeon a
 # lone solve takes 3-4 ms, nearly all of it linprog's per-call overhead; per
@@ -296,20 +300,17 @@ def _rounded(lp: _BuildAlgebra, x) -> list[Fraction]:
     return [Fraction(float(x[i])).limit_denominator(10**12) for i in lp.xvars]
 
 
-def _vertex_witnesses(lp: _BuildAlgebra, opt: Fraction, cold: simplex.Vertex | None):
-    """Speedup parameters to try as the witness of a feasible vertex that is
-    replayed: those of one float re-solve that keeps margin >= opt/2 and
-    minimizes the sum of the max variables, pushing each toward the tight
-    max the rules compute, then the crash vertex's optimum: cold, if given."""
+def _vertex_witness(lp: _BuildAlgebra, opt: Fraction) -> list[Fraction] | None:
+    """The witness of a feasible vertex that is replayed: the speedup
+    parameters of one float re-solve that keeps margin >= opt/_WITNESS_FLOOR
+    and minimizes the sum of the max variables, pushing each toward the
+    tight max the rules compute; None when HiGHS does not end optimal."""
     a_ub, b_ub, _ = _stacked([lp])
     c = np.ones(lp.nvars)
     c[[_MARGIN, *lp.xvars]] = 0.0
-    bounds = [(float(opt / 2), None)] + [(0, None)] * (lp.nvars - 1)
+    bounds = [(float(opt / _WITNESS_FLOOR), None)] + [(0, None)] * (lp.nvars - 1)
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_HIGHS)
-    if res.status == 0:
-        yield _rounded(lp, res.x)
-    cold = cold or _exact_optimum(lp, _crash_start(lp))
-    yield [cold.point[i] for i in lp.xvars]
+    return _rounded(lp, res.x) if res.status == 0 else None
 
 
 def _stacked(lps: list[_BuildAlgebra]):
@@ -505,18 +506,16 @@ def feasible(
             if bound is not None and bound <= 0:
                 return result(False, bound, [], "float+dual")
         warm = _exact_optimum(lp, _warm_start(lp, x, duals))
-    cold = None if warm else _exact_optimum(lp, _crash_start(lp))
-    vertex = warm or cold
+    vertex = warm or _exact_optimum(lp, _crash_start(lp))
     opt = vertex.value
     if opt <= 0:
         return result(False, opt, [], "vertex")
-    if not replay:  # search_best decides its winner again if need be
-        return result(True, opt, [vertex.point[i] for i in lp.xvars], "vertex")
-    for xs in _vertex_witnesses(lp, opt, cold):
+    if replay and (xs := _vertex_witness(lp, opt)) is not None:
         tight = _tight_point(lp, xs)[_MARGIN]
         if tight > 0:
             return result(True, opt, xs, "vertex", tight)
-    return result(True, opt, xs, "vertex")  # the crash vertex's optimum, to replay as is
+    # unreplayed, or no re-solved witness passes the tight check: its own point
+    return result(True, opt, [vertex.point[i] for i in lp.xvars], "vertex")
 
 
 def _decide_batch(jobs, replay):

@@ -231,11 +231,11 @@ class TestSearchAndScan:
 
     def test_optimality_prints_methods_and_replay_failures(self, capsys):
         # one line after the summary: verdicts per certification method, and
-        # the feasible verdicts without a replayed certificate (10102100)
+        # the feasible verdicts without a replayed certificate
         assert run(["optimality", "--alpha", "1", "--c", "8/5", "--max-len", "8"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[-2].startswith("38 feasible annotations of length <= 8")
-        assert lines[-1] == "methods: float+dual=18, float+primal=37, precondition=89, vertex=1; replay failed: 1"
+        assert lines[-1] == "methods: float+dual=18, float+primal=37, precondition=89, vertex=1; replay failed: 0"
         assert run(["optimality", "--alpha", "1", "--c", "1.4", "--max-len", "3"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[-1] == "methods: float+primal=1; replay failed: 0"
 

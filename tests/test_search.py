@@ -69,12 +69,6 @@ def _lp_optimum(lp, shift=F(10)):
     return margin - shift
 
 
-def _cold_start(lp):
-    """The exact optimum from the LP's crash vertex, and its speedup parameters."""
-    cold = _exact_optimum(lp, _crash_start(lp))
-    return cold.value, [cold.point[i] for i in lp.xvars]
-
-
 class TestFeasible:
     def test_100_feasible_below_sqrt2(self):
         f = feasible("100", F(1), F(7, 5))
@@ -136,14 +130,15 @@ class TestFeasible:
                 assert got == want, (a, cc)
 
     def test_exact_simplex_decides_feasible(self):
-        # the float witness fails the tight check here, and so does the
-        # re-solve's: the warm start decides, and the replayed witness is
-        # the optimum the exact simplex reaches from the crash vertex
+        # the float witness fails the tight check here: the warm start
+        # decides, and the replayed witness is the re-solve's, with a
+        # positive tight margin; margin and method stay the vertex's
         f = feasible("10102100", F(1), F(8, 5))
         assert f.feasible and f.method == "vertex"
         lp = _build_lp("10102100", F(1), F(8, 5), TS_MODE)
         assert f.margin == F(881, 9425) == _oracle_margin(lp)
-        assert (f.margin, f.witness) == _cold_start(lp)
+        assert f.witness == search._vertex_witness(lp, f.margin)
+        assert _tight_point(lp, f.witness)[_MARGIN] > 0
         assert (f.certificate is None) == (not f.replay_ok)
 
     def test_exact_simplex_pivots_on_from_its_start(self):
@@ -173,13 +168,38 @@ class TestFeasible:
         assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
 
     def test_simplex_witness_of_vertex_replays(self):
-        # the re-solve gives no witness the rules accept, the cold start's
-        # optimum replays; verdict, margin and method stay the vertex's
+        # the re-solve's witness replays, with a positive tight margin;
+        # verdict, margin and method stay the vertex's
         f = feasible("102011000", F(2, 3), F(8, 5))
         assert (f.feasible, f.method, f.replay_ok) == (True, "vertex", True)
         lp = _build_lp("102011000", F(2, 3), F(8, 5), TS_MODE)
-        assert (f.margin, f.witness) == _cold_start(lp)
+        assert f.margin == _oracle_margin(lp)
+        assert f.witness == search._vertex_witness(lp, f.margin)
+        assert _tight_point(lp, f.witness)[_MARGIN] > 0
         assert verify_proof(f.certificate).contradiction
+
+    @pytest.mark.parametrize(
+        "a, alpha, cc",
+        [(a, F(1), F(8, 5)) for a in ("10102100", "101022100")]
+        + [
+            (a, alpha, cc)
+            for alpha, cc in ((F(2, 3), F(1517, 1000)), (F(4, 5), F(7, 5)))
+            for a in ("10211000", "102110020", "102110200", "102211000")
+        ]
+        + [("102011000", F(2, 3), F(8, 5))],
+        ids=str,
+    )
+    def test_vertex_verdict_replays(self, a, alpha, cc):
+        # vertex verdicts whose re-solved witness replays at a margin floor
+        # of opt/100; at opt/2 it fails the rules (the last one replayed
+        # only with the exact simplex's optimum from the crash vertex)
+        f = feasible(a, alpha, cc)
+        assert (f.feasible, f.method, f.replay_ok) == (True, "vertex", True)
+        rep = verify_proof(f.certificate)
+        assert rep.valid and rep.contradiction
+
+    def test_scan_vertex_verdicts_replay(self):
+        assert optimality_scan(F(2, 3), F(1517, 1000), 9).replay_failed == 0
 
     def test_near_zero_margin_decided_on_first_solve(self, monkeypatch):
         # near c* the margin is ~1e-8.  At HiGHS's default tolerance 1e-7 the
@@ -632,7 +652,7 @@ class TestOneDerivation:
         monkeypatch.undo()
         feasible_entries = scan.feasible_entries
         assert feasible_entries and len(built) == len(feasible_entries)
-        assert scan.replay_failed == 1  # 10102100: derived, not a contradiction
+        assert scan.replay_failed == 0
         for cert, report in built:
             assert report == verify_proof(cert)
         kept = [f.certificate for f in feasible_entries if f.replay_ok]
@@ -808,9 +828,10 @@ class TestBatchedDecisions:
         assert {f.method for f in decided if "12" not in f.annotation} == {"vertex"}
         assert {f.method for f in decided if "12" in f.annotation} == {"precondition"}
 
-    def test_cold_start_verdict_is_the_ladders_last_rung(self, monkeypatch):
-        # with every float solve failing each LP decision starts cold once:
-        # the witness ladder reuses the verdict's own vertex
+    def test_cold_start_verdict_witness_is_its_own_vertex(self, monkeypatch):
+        # with every float solve failing each LP decision starts cold once,
+        # and the witness re-solve fails too: the witness is the verdict's
+        # own vertex
         monkeypatch.setattr(search, "linprog", lambda *args, **kwargs: OptimizeResult(status=4))
         starts, crash_start = [], search._crash_start
         monkeypatch.setattr(search, "_crash_start", lambda lp: starts.append(1) or crash_start(lp))
@@ -948,7 +969,7 @@ def test_scan_prove_needs_no_cold_start(monkeypatch):
         assert report.feasible_entries and report.replay_failed == 0, cc
 
 
-def test_perfbench_tracer_binds_search():
+def test_perfbench_tracer_binds_search(monkeypatch):
     # perfbench/tracing.py wraps these functions by attribute name; a missing
     # one breaks the traced benchmark with AttributeError.  It counts one
     # decision per feasible span, and batches solve many in one linprog.  A
@@ -964,17 +985,24 @@ def test_perfbench_tracer_binds_search():
     assert names.count("feasible") == report.total
     assert names.count("linprog") < names.count("feasible")
     assert names.count("verify_proof") == 1
-    # the tracer reads replay from feasible's keyword arguments: a known
-    # replay failure (10102100 at c = 8/5) must count, and '12' decisions
-    # show as precondition
+    # the tracer reads replay from feasible's keyword arguments: this scan
+    # replays every feasible verdict, and '12' decisions show as
+    # precondition
     tracer = _load_perfbench("tracing").Tracer()
     with tracer.installed():
         optimality_scan(F(1), F(8, 5), 8)
-    assert tracer.replay_failed == 1
+    assert tracer.replay_failed == 0
     assert "precondition" in tracer.methods
-    # the exact simplex is traced as its own layer: this witness needs the
-    # cold start
+    # the exact simplex is traced as its own layer: this verdict is the
+    # warm start's
     tracer = _load_perfbench("tracing").Tracer()
     with tracer.installed():
         assert feasible("102011000", F(2, 3), F(8, 5)).replay_ok
     assert "simplex" in [span[0] for span in tracer.spans]
+    # a replay failure counts: with every float solve failing, four of this
+    # scan's witnesses are their vertex's own points, which the rules reject
+    monkeypatch.setattr(search, "linprog", lambda *args, **kwargs: OptimizeResult(status=4))
+    tracer = _load_perfbench("tracing").Tracer()
+    with tracer.installed():
+        report = optimality_scan(F(2, 3), F(8, 5), 8)
+    assert tracer.replay_failed == report.replay_failed == 4
