@@ -14,8 +14,11 @@ writes to OUT, one line each:
   and bpts at alpha in {1, 2/3, 9/10}: mode, alpha, annotation, best c,
   and whether its certificate verifies to a contradiction;
 - best_exponent's bisection (tol 1e-7) of each of the 170 ts annotations
-  of length <= 10 without '12' or '22' at alpha = 1: annotation, c*, and
-  its decisions per method;
+  of length <= 10 without '12' or '22' at alpha = 1: annotation, c*, its
+  decisions per method, and a sha256 over its ordered (c, verdict)
+  decisions.  A decision's method may change with the float solve it
+  shares with others, its verdict may not, so two trees' bisections can be
+  compared verdict by verdict where their method counts differ;
 - the named proofs: good_proof_best_c(alpha, k) at alpha in {1, 2/3} and
   k in {2, 5, 10}, and whether bpts_proof(40, c) and bpts_grover_proof(c)
   verify to a contradiction at c in {7/5, 3/2}; and bpts_grover_proof at
@@ -29,7 +32,9 @@ writes to OUT, one line each:
   start for each decision that neither float check settles (each "vertex"
   verdict with a float solution) and a cold start for each warm point that
   is no feasible vertex or missing float solution (in the sweep, 106 warm
-  starts and no cold one);
+  starts and no cold one).  A bisection's float solve takes the LPs of the
+  path its float margins predict: the searches make 132 HiGHS calls and
+  the bisections 887 (528 and 4,288 at one float solve per midpoint);
 - a sha256 over the formatted certificates of each part that builds them:
   the sweep's replayed entries, the search winners, and the named proofs
   (the bpts proofs at c in {7/5, 3/2} and good_proof at three (alpha, c, k));
@@ -37,7 +42,7 @@ writes to OUT, one line each:
   int-to-str digit limit.
 
 Run it in a checkout of each tree and diff the two files.  It takes about
-14 s on a 2-vCPU Xeon.
+11 s on a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -126,9 +131,10 @@ def main(out_path: str) -> None:
         if "12" in a or "22" in a:
             continue
         decided.clear()
-        best = search._bisect_max([a], F(1), F(1, 10**7), TS_MODE)
+        best = search._bisect_max([a], F(1), F(1, 10**7), TS_MODE, Counter())
         methods = ", ".join(f"{m}={n}" for m, n in sorted(Counter(f.method for f in decided).items()))
-        lines.append(f"bisect {a} {None if best is None else best[0]} {methods}")
+        verdicts = hashlib.sha256("".join(f"{f.c} {f.feasible}\n" for f in decided).encode())
+        lines.append(f"bisect {a} {None if best is None else best[0]} {methods} {verdicts.hexdigest()}")
     search.feasible = solo
     part_done("bisections")
 

@@ -183,6 +183,7 @@ def _cmd_search(args) -> int:
         f"best_c={format_rational(result.best_c)} ({float(result.best_c):.9f}) "
         f"annotation={result.annotation}"
     )
+    print(f"decisions={result.decisions} float_solves={result.float_solves}")
     if args.out and result.certificate is not None:
         cert = grover_certificate(result.certificate) if args.grover else result.certificate
         Path(args.out).write_text(format_certificate(cert))

@@ -28,10 +28,13 @@ those of each block.  Scans and searches cut their annotations into fixed
 batches; a process pool spreads whole batches, so the number of workers
 changes no answer.  Bisection over c (best_exponent, search_best) bisects
 one bracket per batch for the largest best exponent of its annotations: each
-midpoint decides, in one float solve and without replay, the annotations
-still level with the best, and drops those that fall behind; search_best
-replays only the winner's last feasible witness, and decides the winner
-again if the rules reject it.
+midpoint decides, without replay, the annotations still level with the
+best, and drops those that fall behind.  One float solve takes the LPs of
+the stretch of bisection path that the float margins predict (each c*
+interpolated from HiGHS's margins); a wrong prediction wastes only float
+LPs, as each decision is certified exactly from its own LP's float
+solution.  search_best replays only the winner's last feasible witness, and
+decides the winner again if the rules reject it.
 
 The named constructors (good_proof, bpts_proof) are annotation certificates
 of fixed annotations with geometric speedup parameters; every certificate is
@@ -42,6 +45,7 @@ with its slowdowns named grover (grover_certificate).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +55,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from . import simplex
-from .analytics import _bisect, largest_root_cubic, p_alpha
+from .analytics import _bisect, _midpoint, largest_root_cubic, p_alpha
 from .kernel import (
     BP_TS,
     BPTS_MODE,
@@ -546,10 +550,23 @@ class BracketError(RuntimeError):
     """Feasibility is not monotone over the chosen bracket."""
 
 
-def _bisect_max(annotations, alpha, tol, mode):
+def _c_star_estimate(margins: dict) -> float:
+    """The c where an annotation's float margins {c: margin} cross 0, linear
+    between its largest c with margin > 0 and its smallest with margin <= 0;
+    inf without the latter, -inf without the former."""
+    pos = [c for c, m in margins.items() if m > 0]
+    neg = [c for c, m in margins.items() if m <= 0]
+    if not (pos and neg):
+        return -math.inf if neg else math.inf
+    c0, c1 = max(pos), min(neg)
+    return float(c0) + float(c1 - c0) * margins[c0] / (margins[c0] - margins[c1])
+
+
+def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
     """(c*, annotation, the Feasibility at its last feasible c) of the
     annotation with the largest c*, the first in order among ties; None when
-    each is infeasible near c = 1.
+    each is infeasible near c = 1.  counts gains the decisions made and the
+    float solves.
 
     Each annotation is decided at its own lo, and the live (feasible) ones at
     hi.  Then one bracket, from the lo of an annotation without '2' to hi, is
@@ -557,7 +574,12 @@ def _bisect_max(annotations, alpha, tol, mode):
     there, or with lo >= c.  A true midpoint keeps only the annotations ahead,
     so each live one has met every verdict of the bracket, and the first one's
     best_exponent is exactly c*.  Decides without replay, so a caller that
-    wants a certificate replays."""
+    wants a certificate replays.
+
+    A midpoint not solved yet solves the LPs of the path that follows if each
+    live annotation is feasible below its _c_star_estimate: whole levels while
+    they fit in _BATCH LPs, at least one.  Each decision reads its own LP's
+    float solution, so predictions change only the number of float solves."""
     hi = (1 + alpha) / alpha
 
     def lo_of(a):
@@ -566,31 +588,64 @@ def _bisect_max(annotations, alpha, tol, mode):
 
     los = {a: lo_of(a) for a in annotations}
     last = {}  # annotation -> its last feasible decision
+    solved = {}  # (annotation, c) -> (LP or None, float solution), undecided
+    margins = {a: {} for a in annotations}  # annotation -> {c: float margin}
 
-    def feasible_of(pairs) -> list[str]:
-        """The annotations of the (annotation, c) pairs feasible at their c."""
-        fs = _decide_batch([(a, alpha, c, mode) for a, c in pairs], False)
+    def feasible_of(pairs, path=None) -> list[str]:
+        """The annotations of the (annotation, c) pairs feasible at their c;
+        if one is not solved yet, one float solve takes path() (or pairs)."""
+        if any(p not in solved for p in pairs):
+            solved.clear()
+            path = path() if path else pairs
+            jobs = _solve_batch([(a, alpha, c, mode) for a, c in path])
+            counts["float_solves"] += any(lp is not None for lp, _ in jobs)
+            for (a, c), (lp, sol) in zip(path, jobs):
+                solved[a, c] = lp, sol
+                if sol is not None:
+                    margins[a][c] = sol[0][_MARGIN]
+        counts["decisions"] += len(pairs)
+        fs = [feasible(a, alpha, c, mode, replay=False, _solved=solved.pop((a, c))) for a, c in pairs]
         last.update((f.annotation, f) for f in fs if f.feasible)
         return [f.annotation for f in fs if f.feasible]
 
-    live = feasible_of(los.items())
-    if not live:
+    if not (live := feasible_of(list(los.items()))):
         return None
-    if both := feasible_of((a, hi) for a in live):
+    if both := feasible_of([(a, hi) for a in live]):
         raise BracketError(
             f"feasibility not monotone for {both[0]!r}: "
             f"feasible at both c={los[both[0]]} and c={hi}"
         )
 
+    def predicted_path(lo, hi, live) -> list[tuple]:
+        estimates = {a: _c_star_estimate(margins[a]) for a in live}
+        pairs = []
+        while hi - lo > tol:
+            c = _midpoint(lo, hi)
+            level = [(a, c) for a in live if los[a] < c]
+            if pairs and len(pairs) + len(level) > _BATCH:
+                break
+            pairs += level
+            ahead = [a for a in live if los[a] >= c or float(c) < estimates[a]]
+            lo, hi, live = (c, hi, ahead) if ahead else (lo, c, live)
+        return pairs
+
+    bracket = [lo_of("1"), hi]  # _bisect's bracket, mirrored
+
     def some_ahead(c):
         nonlocal live
-        ok = feasible_of((a, c) for a in live if los[a] < c)
+        ok = feasible_of([(a, c) for a in live if los[a] < c], lambda: predicted_path(*bracket, live))
         ahead = [a for a in live if los[a] >= c or a in ok]
         live = ahead or live
+        bracket[0 if ahead else 1] = c
         return bool(ahead)
 
-    c_star = _bisect(some_ahead, lo_of("1"), hi, tol)
+    c_star = _bisect(some_ahead, *bracket, tol)
     return c_star, live[0], last[live[0]]
+
+
+def _bisect_counted(annotations, alpha, tol, mode):
+    """_bisect_max's answer and the Counter of its decisions and float solves."""
+    return _bisect_max(annotations, alpha, tol, mode, counts := Counter()), counts
 
 
 def best_exponent(
@@ -600,7 +655,7 @@ def best_exponent(
     bisection; None if it is infeasible even near c = 1."""
     alpha, tol = Fraction(alpha), Fraction(tol)
     _check_params(alpha, tol=tol)
-    best = _bisect_max([a], alpha, tol, mode)
+    best = _bisect_max([a], alpha, tol, mode, Counter())
     return None if best is None else best[0]
 
 
@@ -609,6 +664,8 @@ class SearchResult:
     best_c: Fraction
     annotation: str
     certificate: ProofCertificate | None
+    decisions: int  # the bisections' exact decisions, summed over batches
+    float_solves: int  # and their HiGHS calls
 
 
 def search_best(
@@ -629,15 +686,16 @@ def search_best(
     alpha, tol = Fraction(alpha), Fraction(tol)
     _check_params(alpha, tol=tol)
     annotations = list(enumerate_annotations(max_len, mode))
-    batches = _map_batches(_bisect_max, annotations, workers, alpha, tol, mode)
-    best = max((b for b in batches if b is not None), key=lambda b: b[0], default=None)
+    batches = _map_batches(_bisect_counted, annotations, workers, alpha, tol, mode)
+    best = max((b for b, _ in batches if b is not None), key=lambda b: b[0], default=None)
     if best is None:
         return None
     c_star, a, f = best
     ok, cert = _replay(a, alpha, f.c, mode, f.witness, f.margin)
     if not ok:  # the bisection kept a vertex the rules reject: decide again
         cert = feasible(a, alpha, f.c, mode).certificate
-    return SearchResult(c_star, a, cert)
+    counts = sum((n for _, n in batches), Counter())
+    return SearchResult(c_star, a, cert, counts["decisions"], counts["float_solves"])
 
 
 # --- Named proof constructors ----------------------------------------------

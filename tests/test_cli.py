@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,12 @@ class TestSearchAndScan:
         assert "1.414" in text
         assert run(["verify", str(out)]) == EXIT_OK
         capsys.readouterr()
+
+    def test_search_prints_its_counts(self, capsys):
+        res = atlb.search_best(5, Fraction(1))
+        assert run(["search", "--alpha", "1", "--max-len", "5"]) == EXIT_OK
+        line = f"decisions={res.decisions} float_solves={res.float_solves}"
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_search_bracket_error_exit_one(self, force_feasible, capsys):
         force_feasible("100")

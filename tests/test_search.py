@@ -7,11 +7,13 @@ import importlib.util
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import serial_bisect
 import tableau
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -929,6 +931,97 @@ def test_pool_has_no_more_workers_than_batches(monkeypatch):
     assert (pooled.annotation, pooled.best_c) == (serial.annotation, serial.best_c)
     assert optimality_scan(F(1), F(3, 2), 8, workers=3).total == 145  # five batches
     assert sizes == [2, 2, 3]
+
+
+def _bisections(annotations, alpha, tol, mode, monkeypatch):
+    """(answer, exact decisions) of the serial oracle's bisection and of
+    _bisect_max's, each decision as (annotation, c, verdict), in order."""
+    runs = []
+
+    def predicted(*args):
+        return search._bisect_max(*args, Counter())
+
+    for bisect_max in (serial_bisect.bisect_max, predicted):
+        decided = _record_decisions(monkeypatch)
+        answer = bisect_max(annotations, alpha, tol, mode)
+        monkeypatch.undo()
+        runs.append((answer and answer[:2], [(f.annotation, f.c, f.feasible) for f in decided]))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "mode,max_len,alpha",
+    [(TS_MODE, n, alpha) for n in range(3, 8) for alpha in (F(1), F(2, 3))]
+    + [(BPTS_MODE, n, alpha) for n in range(3, 7) for alpha in (F(1), F(2, 3))],
+)
+def test_bisect_max_decides_as_serial_bisection(mode, max_len, alpha, monkeypatch):
+    # search_best's batches bisected with one float solve per predicted path
+    # and with one per midpoint: the same exact decisions in the same order,
+    # and the same c* and winner
+    annotations = list(enumerate_annotations(max_len, mode))
+    for i in range(0, len(annotations), search._BATCH):
+        batch = annotations[i : i + search._BATCH]
+        want, got = _bisections(batch, alpha, F(1, 10**6), mode, monkeypatch)
+        assert got == want
+
+
+@pytest.mark.parametrize("a", ["100", "10102100", "1110202020"])
+def test_best_exponent_decides_as_serial_bisection(a, monkeypatch):
+    want, got = _bisections([a], F(1), F(1, 10**7), TS_MODE, monkeypatch)
+    assert got == want and got[0] is not None
+
+
+def test_search_best_solves_each_predicted_path_at_once(monkeypatch):
+    # 22 float solves with one per midpoint
+    calls, linprog = [], search.linprog
+    monkeypatch.setattr(search, "linprog", lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    res = search_best(6, F(1))
+    assert res.float_solves == len(calls) <= 6
+
+
+@pytest.mark.parametrize("estimate", [math.inf, -math.inf], ids=["feasible", "infeasible"])
+@pytest.mark.parametrize(
+    "mode,max_len,alpha,annotation,best_c",
+    [
+        (TS_MODE, 7, F(1), "1102020", F(13559257, 7898569)),
+        (TS_MODE, 7, F(2, 3), "1102020", F(46819881, 20535148)),
+        (BPTS_MODE, 6, F(1), "110000", F(673430053, 497653716)),
+    ],
+)
+def test_wrong_predictions_keep_answers(
+    estimate, mode, max_len, alpha, annotation, best_c, monkeypatch
+):
+    # predictions steer only which LPs share a float solve: predicted always
+    # feasible or always infeasible, the search makes the same decisions
+    want = search_best(max_len, alpha, mode)
+    monkeypatch.setattr(search, "_c_star_estimate", lambda margins: estimate)
+    res = search_best(max_len, alpha, mode)
+    assert (res.annotation, res.best_c, res.decisions) == (annotation, best_c, want.decisions)
+    assert res.float_solves > want.float_solves
+    rep = verify_proof(res.certificate)
+    assert rep.valid and rep.contradiction
+
+
+def test_failed_float_solves_keep_search_answer(monkeypatch):
+    # with every float solve failing there are no margins to predict from,
+    # and every LP decision starts the exact simplex cold
+    want = search_best(5, F(1))
+    monkeypatch.setattr(search, "linprog", lambda *args, **kwargs: OptimizeResult(status=4))
+    starts, crash_start = [], search._crash_start
+    monkeypatch.setattr(search, "_crash_start", lambda lp: starts.append(1) or crash_start(lp))
+    decided = _record_decisions(monkeypatch)
+    got = search_best(5, F(1))
+    assert (got.annotation, got.best_c) == (want.annotation, want.best_c)
+    assert got.decisions == want.decisions
+    assert {f.method for f in decided} <= {"vertex", "precondition"}
+    assert len(starts) >= sum(f.method == "vertex" for f in decided) > 0
+
+
+def test_search_counts_independent_of_workers():
+    # 55 annotations: two batches, whose counts add up
+    serial = search_best(7, F(1), tol=F(1, 10**4))
+    pooled = search_best(7, F(1), tol=F(1, 10**4), workers=2)
+    assert (pooled.decisions, pooled.float_solves) == (serial.decisions, serial.float_solves)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
