@@ -596,10 +596,10 @@ def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
         if one is not solved yet, one float solve takes path() (or pairs)."""
         if any(p not in solved for p in pairs):
             solved.clear()
-            path = path() if path else pairs
-            jobs = _solve_batch([(a, alpha, c, mode) for a, c in path])
+            todo = path() if path else pairs
+            jobs = _solve_batch([(a, alpha, c, mode) for a, c in todo])
             counts["float_solves"] += any(lp is not None for lp, _ in jobs)
-            for (a, c), (lp, sol) in zip(path, jobs):
+            for (a, c), (lp, sol) in zip(todo, jobs):
                 solved[a, c] = lp, sol
                 if sol is not None:
                     margins[a][c] = sol[0][_MARGIN]
