@@ -52,7 +52,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from atlb import rules, search, simplex
+from atlb import proofs, rules, search, simplex
 from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
 from atlb.rules import format_certificate, verify_proof
 
@@ -140,16 +140,16 @@ def main(out_path: str) -> None:
 
     for alpha in (F(1), F(2, 3)):
         for k in (2, 5, 10):
-            lines.append(f"good_proof_best_c {alpha} {k} {search.good_proof_best_c(alpha, k)}")
+            lines.append(f"good_proof_best_c {alpha} {k} {proofs.good_proof_best_c(alpha, k)}")
     for cc in (F(7, 5), F(3, 2)):
         for name, cert in (
-            ("bpts_proof(40)", search.bpts_proof(40, cc)),
-            ("bpts_grover_proof", search.bpts_grover_proof(cc)),
+            ("bpts_proof(40)", proofs.bpts_proof(40, cc)),
+            ("bpts_grover_proof", proofs.bpts_grover_proof(cc)),
         ):
             certs.append(cert)
             lines.append(f"{name} {cc} contradiction={verify_proof(cert).contradiction}")
-    certs.extend(search.good_proof(alpha, cc, k) for alpha, cc, k in GOOD_PROOFS)
-    cert = search.bpts_grover_proof(F(14999, 10000))
+    certs.extend(proofs.good_proof(alpha, cc, k) for alpha, cc, k in GOOD_PROOFS)
+    cert = proofs.bpts_grover_proof(F(14999, 10000))
     rounds = sum(s.rule == "grover" for s in cert.steps)
     contradiction = verify_proof(cert).contradiction
     lines.append(f"bpts_grover_proof 14999/10000 rounds={rounds} contradiction={contradiction}")

@@ -44,6 +44,16 @@ from .kernel import (
     parse_rational,
     validate_annotation,
 )
+from .proofs import (
+    annotation_certificate,
+    bpts_grover_proof,
+    bpts_proof,
+    good_proof,
+    good_proof_best_c,
+    good_proof_contradicts,
+    good_proof_limit,
+    grover_certificate,
+)
 from .rules import (
     CertificateError,
     ProofCertificate,
@@ -62,22 +72,27 @@ from .rules import (
     squiggle,
     verify_proof,
 )
-from .search import (
-    Feasibility,
-    ScanReport,
-    SearchResult,
-    annotation_certificate,
-    best_exponent,
-    bpts_grover_proof,
-    bpts_proof,
-    feasible,
-    good_proof,
-    good_proof_best_c,
-    good_proof_contradicts,
-    good_proof_limit,
-    grover_certificate,
-    optimality_scan,
-    search_best,
-)
 
+# the float search loads numpy and scipy: its names resolve on first use
+_SEARCH_NAMES = {
+    "Feasibility",
+    "ScanReport",
+    "SearchResult",
+    "best_exponent",
+    "feasible",
+    "optimality_scan",
+    "search_best",
+}
+
+
+def __getattr__(name):
+    if name in _SEARCH_NAMES:
+        from . import search
+
+        return getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# a star import takes the search names too, as it did before they were lazy
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | _SEARCH_NAMES)
 __version__ = "0.1.0"

@@ -17,15 +17,8 @@ from pathlib import Path
 from .analytics import emit_curve
 from .grover import SearchInstance, random_iteration_success, simulate_grover, success_probability
 from .kernel import BPTS_MODE, TS_MODE, format_rational, parse_rational
+from .proofs import bpts_grover_proof, bpts_proof, good_proof, grover_certificate
 from .rules import CertificateError, format_certificate, parse_certificate, verify_proof
-from .search import (
-    bpts_grover_proof,
-    bpts_proof,
-    good_proof,
-    grover_certificate,
-    optimality_scan,
-    search_best,
-)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -172,6 +165,8 @@ def _check_grover(args):
 
 
 def _cmd_search(args) -> int:
+    from .search import search_best  # loads scipy: only the LP commands import it
+
     _check_grover(args)
     max_len = args.max_len if args.max_len is not None else 8
     tol = args.tol if args.tol is not None else Fraction(1, 10**6)
@@ -184,7 +179,10 @@ def _cmd_search(args) -> int:
         f"annotation={result.annotation}"
     )
     print(f"decisions={result.decisions} float_solves={result.float_solves}")
-    if args.out and result.certificate is not None:
+    if args.out:
+        if result.certificate is None:
+            print(f"no replayed certificate for {result.annotation}: nothing written", file=sys.stderr)
+            return EXIT_INVALID
         cert = grover_certificate(result.certificate) if args.grover else result.certificate
         Path(args.out).write_text(format_certificate(cert))
         print(f"certificate written to {args.out}")
@@ -232,6 +230,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_optimality(args) -> int:
+    from .search import optimality_scan
+
     _check_grover(args)
     max_len = args.max_len if args.max_len is not None else 8
     report = optimality_scan(args.alpha, args.c, max_len, args.mode, workers=args.workers)

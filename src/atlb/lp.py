@@ -1,0 +1,250 @@
+"""The LP model of an annotation and its exact layer.
+
+For a fixed annotation and parameters (alpha, c) the choice of speedup
+parameters reduces to a linear program: every exponent produced by a rule is
+a variable bounded below by each argument of its max, strict rule
+preconditions get a common margin variable that is maximized, constant floors
+are dropped (homogeneous form) and the initial d = 1 fixes the scale.  The
+annotation is feasible iff the maximal margin is positive.
+
+Everything here is exact: the tight point a witness is checked at, the
+weak-duality bound from multipliers on an active set, and the exact simplex
+(simplex.solve) from a warm or a cold start.  A float solution only names
+the active set to start from.  Neither numpy nor scipy is imported, so a
+"no" rests on this module and simplex alone.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import simplex
+from .kernel import BP_TS, BPTS_MODE, DET_TS, _step_height
+from .simplex import CONST as _CONST
+from .simplex import _solve_rational, _value
+
+_MARGIN = 0
+
+_FLOAT_TOL = 1e-9
+_DUAL_TOL = 1e-11  # a row dual below -_DUAL_TOL is nonzero
+
+
+# --- The LP of an annotation ------------------------------------------------
+
+
+class _BuildAlgebra:
+    """The LP, built from linear expressions {var index: coeff, _CONST: coeff}.
+
+    Besides the rows it keeps each max variable's terms, in creation order,
+    and each strict precondition: what _tight_point evaluates.  Coefficients
+    that do not depend on c are the ints 1 and -1, not Fractions."""
+
+    def __init__(self):
+        self.nvars = 1  # var 0 is the margin
+        self.rows: list[dict[int, Fraction | int]] = []  # each row means expr >= 0
+        self.xvars: list[int] = []
+        self.maxes: list[tuple[int, list[dict]]] = []  # (max variable, its terms)
+        self.preconditions: list[dict] = []  # each means expr > 0
+
+    def _new_var(self) -> int:
+        i = self.nvars
+        self.nvars += 1
+        return i
+
+    def x(self) -> dict:
+        i = self._new_var()
+        self.xvars.append(i)
+        return {i: 1}
+
+    def sub(self, e1: dict, e2: dict) -> dict:
+        out = dict(e1)
+        for k, v in e2.items():
+            out[k] = out.get(k, 0) - v
+            if not out[k]:
+                del out[k]
+        return out
+
+    def scale(self, fac: Fraction, e: dict) -> dict:
+        return {k: fac * v for k, v in e.items()} if fac else {}
+
+    def max_of(self, terms: list[dict]) -> dict:
+        terms = [t for t in terms if t]
+        if not terms:
+            return {}
+        if len(terms) == 1:
+            return terms[0]
+        i = self._new_var()
+        self.maxes.append((i, terms))
+        for t in terms:
+            self.rows.append(self.sub({i: 1}, t))
+        return {i: 1}
+
+    def precondition(self, e: dict):
+        self.preconditions.append(e)
+        self.rows.append(self.sub(e, {_MARGIN: 1}))
+
+
+def _rule_names(a: str, mode: str):
+    """The rule each symbol applies; the height trace names each speedup."""
+    h, ver = 0, BP_TS if mode == BPTS_MODE else DET_TS
+    for sym in a:
+        speedup = "speedup_rand" if ver == BP_TS else "speedup" if h else "speedup_first"
+        h, ver = _step_height(h, ver, sym, mode)  # AnnotationError on an invalid step
+        yield {"1": speedup, "0": "slowdown", "2": "squiggle"}[sym]
+
+
+def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _BuildAlgebra:
+    """The LP of the annotation's homogeneous rule semantics."""
+    lp = _BuildAlgebra()
+    zero: dict = {}
+    blocks: list[tuple] = []  # (a value, b value); constant-1 floors are zero
+    d = {_CONST: 1}
+    for rule in _rule_names(a, mode):
+        if rule.startswith("speedup"):
+            x = lp.x()
+            lp.precondition(x)
+            lp.precondition(lp.sub(d, x))
+            if rule == "speedup_first":  # E(x, max(x,1)) A(0, 1)
+                blocks += [(x, x), (zero, zero)]
+            elif rule == "speedup":
+                a0, b0 = blocks[-1]
+                blocks[-1] = (lp.max_of([a0, x]), lp.max_of([b0, x]))
+                blocks.append((zero, b0))
+            elif blocks:  # randomized speedup
+                a0, b0 = blocks[-1]
+                blocks += [(x, lp.max_of([b0, x])), (zero, b0)]
+            else:  # randomized first speedup: E(0,1) A(x, max(x,1)) E(0,1)
+                blocks += [(zero, zero), (x, x), (zero, zero)]
+            d = lp.sub(d, x)
+        elif rule == "slowdown":
+            a0, b0 = blocks.pop()
+            b_prev = blocks[-1][1] if blocks else zero
+            lead = lp.scale(cc * alpha, d)  # a grover collapse is this lead at alpha = 2/3
+            d = lp.max_of([lead, lp.scale(cc, b0), lp.scale(cc, a0), lp.scale(cc, b_prev)])
+        else:
+            # rules.squiggle's one step without its constant floor: under the
+            # guard d < ratio*a_k, d goes to the fixed point c*max(a_k, b_k).
+            # Two differences.  First, where the rule is a no-op (d at or
+            # below the fixed point, or the guard fails) these rows raise d
+            # to c*max(a_k, b_k), or are infeasible.  No scan's answer moves:
+            # the entering d is a slowdown's max variable, bounded only from
+            # below ('12' has no LP, after a '2' d is at its fixed point), and
+            # the annotation without this '2', also scanned, is at least as
+            # good with the same exact proof.  Second, max_of makes a0 an
+            # upper bound, not the tight max, which the guard row rewards: an
+            # optimum that uses it fails the tight witness check and can fail
+            # replay (10102100 at c = 8/5).
+            a0, b0 = blocks[-1]
+            ratio = alpha * cc / (alpha * cc - 1)
+            lp.precondition(lp.sub(lp.scale(ratio, a0), d))
+            d = lp.max_of([lp.scale(cc, a0), lp.scale(cc, b0)])
+    lp.precondition(lp.sub({_CONST: 1}, d))
+    return lp
+
+
+def _tight_point(lp: _BuildAlgebra, xs: list[Fraction]) -> dict[int, Fraction]:
+    """The LP's point at the speedup parameters xs under the tight semantics
+    the rules compute: each max variable at the max of its terms, and the
+    margin at the least precondition.
+
+    The LP drops a max's zero terms, so where a term is negative the margin
+    may differ from the rules' in value, but not in sign; a positive margin
+    is the rules' own, and the point then satisfies every row."""
+    v = {_CONST: 1, **dict(zip(lp.xvars, xs))}
+    for i, terms in lp.maxes:
+        v[i] = max(_value(t, v) for t in terms)
+    v[_MARGIN] = min(_value(e, v) for e in lp.preconditions)
+    return v
+
+
+# --- Exact certification of the float answer --------------------------------
+
+
+def _dual_bound(lp: _BuildAlgebra, support: list[int], w: list[Fraction]) -> Fraction | None:
+    """Weak-duality bound from any exact multipliers w >= 0 on the rows:
+    summing w_r * (row_r >= 0) gives q.v + bound >= 0, so if every variable
+    coefficient q_i is <= 0 (and the free margin's is < 0) then
+    margin <= bound / (-q_margin), whatever its sign."""
+    q: dict[int, Fraction] = {}
+    bound = 0
+    for r, wr in zip(support, w):
+        if not wr:
+            continue
+        for i, coeff in lp.rows[r].items():
+            if i == _CONST:
+                bound += wr * coeff
+            else:
+                q[i] = q.get(i, 0) + wr * coeff
+    if q.get(_MARGIN, 0) >= 0:
+        return None
+    if any(v > 0 for i, v in q.items() if i != _MARGIN):
+        return None
+    return bound / -q[_MARGIN]
+
+
+def _active_dual_bound(lp: _BuildAlgebra, x, duals) -> Fraction | None:
+    """Exact weak-duality upper bound on the margin, of any sign.  The
+    multipliers solve the dual equations exactly on the float solution's
+    active set: the rows with a nonzero dual times the tight columns (the
+    margin and those the float solution puts above 0)."""
+    support = [r for r, v in enumerate(duals) if v < -_DUAL_TOL]
+    if not support:
+        return None
+    tight = [_MARGIN] + [i for i in range(1, lp.nvars) if x[i] > _FLOAT_TOL]
+    a_rows = [[lp.rows[r].get(i, 0) for r in support] for i in tight]
+    b = [-1] + [0] * (len(tight) - 1)
+    sol = _solve_rational(a_rows, b)
+    if sol is None or any(v < 0 for v in sol):
+        return None
+    return _dual_bound(lp, support, sol)
+
+
+def _exact_optimum(lp: _BuildAlgebra, start) -> simplex.Vertex | None:
+    """The exact LP optimum, by simplex.solve from the vertex of start (its
+    tight rows and its columns at 0); None when start gives no feasible
+    vertex."""
+    objective = [1] + [0] * (lp.nvars - 1)
+    return simplex.solve(objective, lp.rows, *start, free=(_MARGIN,))
+
+
+def _warm_start(lp: _BuildAlgebra, x, duals):
+    """The float solution's active set: the rows with a nonzero dual or a
+    zero residual, and the columns it leaves at 0."""
+    at_x = {_CONST: 1, **dict(enumerate(x))}
+    active = [
+        r
+        for r, (row, dual) in enumerate(zip(lp.rows, duals))
+        if dual < -_DUAL_TOL or abs(_value(row, at_x)) <= _FLOAT_TOL
+    ]
+    return active, [i for i in range(1, lp.nvars) if x[i] <= _FLOAT_TOL]
+
+
+def _crash_start(lp: _BuildAlgebra):
+    """The active set of the crash vertex, the tight point at every speedup
+    parameter 0: each max variable at its largest term and the margin at the
+    least precondition.  Every row holds there, and the active constraints
+    determine the point: the parameters' bounds, then, in creation order, a
+    tight row per max variable, and the least precondition for the margin."""
+    v = _tight_point(lp, [0] * len(lp.xvars))
+    return [r for r, row in enumerate(lp.rows) if _value(row, v) == 0], lp.xvars
+
+
+def _check_params(alpha, cc=None, tol=None):
+    """Raise ValueError for what no decision accepts: alpha outside (0, 1],
+    c <= 1, or tol <= 0 (exact bisection would never end).  Scans and
+    searches check once, before enumerating."""
+    if not 0 < alpha <= 1 or (cc is not None and cc <= 1):
+        got = f"alpha={alpha}" + ("" if cc is None else f", c={cc}")
+        raise ValueError(f"parameter range 0 < alpha <= 1 < c fails: {got}")
+    if tol is not None and tol <= 0:
+        raise ValueError(f"tol must be > 0: tol={tol}")
+
+
+def _lp_of(a, alpha, cc, mode) -> _BuildAlgebra | None:
+    """The annotation's LP, or None when its margin is <= 0 whatever the
+    parameters: a squiggle's precondition 1/alpha < c < (1+alpha)/alpha
+    fails, or a squiggle follows a speedup ('12'), where the block's a is 0:
+    the guard row gives margin <= -d, the speedup's row d >= margin."""
+    if "12" in a or ("2" in a and not (alpha * cc > 1 and cc < (1 + alpha) / alpha)):
+        return None
+    return _build_lp(a, alpha, cc, mode)

@@ -20,16 +20,8 @@ from atlb.grover import (
 from atlb.analytics import Cubic
 from atlb.kernel import DET_TS, AltClass, check_orderly
 from atlb.rules import slowdown_generic, speedup, speedup_first, squiggle, verify_proof
-from atlb.search import (
-    best_exponent,
-    bpts_grover_proof,
-    bpts_proof,
-    feasible,
-    good_proof_best_c,
-    grover_certificate,
-    optimality_scan,
-    search_best,
-)
+from atlb.proofs import bpts_grover_proof, bpts_proof, good_proof_best_c, grover_certificate
+from atlb.search import best_exponent, feasible, optimality_scan, search_best
 
 F = Fraction
 

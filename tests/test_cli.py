@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import atlb
-from atlb import rules
+from atlb import rules, search
 from atlb.cli import EXIT_INVALID, EXIT_NO_CONTRADICTION, EXIT_OK, EXIT_USAGE, main
 
 
@@ -218,6 +218,15 @@ class TestSearchAndScan:
         assert run(["search", "--alpha", "1", "--max-len", "5"]) == EXIT_OK
         line = f"decisions={res.decisions} float_solves={res.float_solves}"
         assert line in capsys.readouterr().out.splitlines()
+
+    def test_search_out_without_certificate_exit_one(self, tmp_path, monkeypatch, capsys):
+        # 10102100's LP c* is ~1.6520, but its witnesses replay only up to
+        # ~1.618: the winner has no certificate to write
+        monkeypatch.setattr(search, "enumerate_annotations", lambda max_len, mode: iter(["10102100"]))
+        out = tmp_path / "best.txt"
+        assert run(["search", "--alpha", "1", "--max-len", "8", "--out", str(out)]) == EXIT_INVALID
+        assert "no replayed certificate for 10102100: nothing written" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_search_bracket_error_exit_one(self, force_feasible, capsys):
         force_feasible("100")

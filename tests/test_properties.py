@@ -21,6 +21,7 @@ from atlb.kernel import (
     parse_class,
     validate_annotation,
 )
+from atlb.proofs import _run_steps, bpts_grover_proof
 from atlb.rules import (
     RuleStep,
     derive,
@@ -30,7 +31,7 @@ from atlb.rules import (
     speedup_first,
     squiggle,
 )
-from atlb.search import _run_steps, _solve_rational, bpts_grover_proof
+from atlb.simplex import _solve_rational
 
 F = Fraction
 

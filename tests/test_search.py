@@ -20,30 +20,30 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 import atlb
-from atlb import rules, search, simplex
+from atlb import proofs, rules, search, simplex
 from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
-from atlb.rules import RuleError, RuleStep, format_certificate, verify_proof
-from atlb.search import (
+from atlb.lp import (
     _CONST,
     _MARGIN,
     _build_lp,
     _crash_start,
+    _dual_bound,
     _exact_optimum,
     _tight_point,
     _warm_start,
+)
+from atlb.proofs import (
     annotation_certificate,
-    best_exponent,
     bpts_grover_proof,
     bpts_proof,
-    feasible,
     good_proof,
     good_proof_best_c,
     good_proof_contradicts,
     good_proof_limit,
     grover_certificate,
-    optimality_scan,
-    search_best,
 )
+from atlb.rules import RuleError, RuleStep, format_certificate, verify_proof
+from atlb.search import best_exponent, feasible, optimality_scan, search_best
 
 F = Fraction
 
@@ -265,7 +265,7 @@ class TestFeasible:
         f = feasible(a, F(1), cc)
         assert f.feasible and f.replay_ok
         lp = _build_lp(a, F(1), cc, TS_MODE)
-        final_d = 1 - search._value(lp.preconditions[-1], _tight_point(lp, f.witness))
+        final_d = 1 - simplex._value(lp.preconditions[-1], _tight_point(lp, f.witness))
         classes = f.certificate.classes
         assert classes[-1].d == classes[0].d * final_d
 
@@ -300,7 +300,7 @@ def test_active_vertex_is_lp_optimum(job):
         vertex = _exact_optimum(lp, start)
         assert vertex is not None
         assert vertex.value == optimum == vertex.point[_MARGIN]
-        assert search._dual_bound(lp, list(vertex.duals), list(vertex.duals.values())) == optimum
+        assert _dual_bound(lp, list(vertex.duals), list(vertex.duals.values())) == optimum
 
 
 def _rank(vectors):
@@ -327,9 +327,9 @@ def test_crash_point_is_a_vertex(job):
     # columns at 0) have rank nvars: the exact simplex's cold start
     lp = search._lp_of(*job)
     v = _tight_point(lp, [0] * len(lp.xvars))
-    assert all(search._value(row, v) >= 0 for row in lp.rows)
+    assert all(simplex._value(row, v) >= 0 for row in lp.rows)
     assert all(v[i] >= 0 for i in range(1, lp.nvars))
-    tight_rows = [[row.get(i, 0) for i in range(lp.nvars)] for row in lp.rows if search._value(row, v) == 0]
+    tight_rows = [[row.get(i, 0) for i in range(lp.nvars)] for row in lp.rows if simplex._value(row, v) == 0]
     bounds = [[int(i == j) for i in range(lp.nvars)] for j in range(1, lp.nvars) if v[j] == 0]
     assert _rank(tight_rows + bounds) == lp.nvars
 
@@ -343,7 +343,7 @@ def test_tight_point_with_positive_margin_is_lp_feasible(job):
     lp, (x, _) = search._solve_batch([job])[0]
     v = _tight_point(lp, search._rounded(lp, x))
     if v[_MARGIN] > 0:
-        assert all(search._value(row, v) >= 0 for row in lp.rows)
+        assert all(simplex._value(row, v) >= 0 for row in lp.rows)
         assert v[_MARGIN] <= _oracle_margin(lp)
 
 
@@ -511,6 +511,13 @@ class TestGoodProof:
             want = oracle_best(alpha, k, tol=F(1, 10**6))
             assert abs(float(got - want)) < 1e-5, (alpha, k)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_best_c_rejects_height_below_one(self, k, monkeypatch):
+        # as good_proof does, before deciding any c
+        monkeypatch.setattr(proofs, "good_proof_contradicts", lambda *args: pytest.fail("decided"))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            good_proof_best_c(F(1), k)
+
     @pytest.mark.parametrize("tol", [F(0), F(-1, 100)])
     def test_bisections_reject_nonpositive_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
@@ -639,7 +646,7 @@ class TestGroverCertificate:
 
 
 class TestOneDerivation:
-    """A certificate is derived once (search._run_steps over rules.derive),
+    """A certificate is derived once (proofs._run_steps over rules.derive),
     and that pass's report is the verifier's."""
 
     def test_scan_certificates_report_as_verified(self, monkeypatch):
@@ -673,7 +680,7 @@ class TestOneDerivation:
     )
     def test_named_certificates_report_as_verified(self, make):
         cert = make()
-        rederived, report = search._run_steps(cert.alpha, cert.c, cert.mode, cert.classes[0].d, cert.steps)
+        rederived, report = proofs._run_steps(cert.alpha, cert.c, cert.mode, cert.classes[0].d, cert.steps)
         assert rederived == cert
         assert report == verify_proof(cert)
 
@@ -1071,7 +1078,7 @@ def test_perfbench_tracer_binds_search(monkeypatch):
     tracer = _load_perfbench("tracing").Tracer()
     with tracer.installed():
         report = optimality_scan(F(1), F(7, 5), 5)
-        search.good_proof_contradicts(F(1), F(3, 2), 2)
+        proofs.good_proof_contradicts(F(1), F(3, 2), 2)
         atlb.verify_proof(good_proof(F(1), F(3, 2), 2))
     names = [span[0] for span in tracer.spans]
     assert {"feasible", "linprog", "apply_step", "verify_proof"} <= set(names)
@@ -1099,3 +1106,13 @@ def test_perfbench_tracer_binds_search(monkeypatch):
     with tracer.installed():
         report = optimality_scan(F(2, 3), F(8, 5), 8)
     assert tracer.replay_failed == report.replay_failed == 4
+
+
+def test_tracer_restores_lazy_exports():
+    # the tracer replaces the entry points on atlb itself, whose search names
+    # resolve lazily; on exit each is the search module's own function again
+    with _load_perfbench("tracing").Tracer().installed():
+        assert atlb.search_best is not search.search_best
+    assert atlb.search_best is search.search_best
+    assert atlb.optimality_scan is search.optimality_scan
+    assert atlb.verify_proof is rules.verify_proof
