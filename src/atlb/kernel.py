@@ -203,6 +203,15 @@ def _step_height(h: int, ver: str, sym: str, mode: str):
     raise AnnotationError(f"unknown annotation symbol {sym!r}")
 
 
+def _rule_names(a: str, mode: str):
+    """The rule each symbol applies; the height trace names each speedup."""
+    h, ver = 0, BP_TS if mode == BPTS_MODE else DET_TS
+    for sym in a:
+        speedup = "speedup_rand" if ver == BP_TS else "speedup" if h else "speedup_first"
+        h, ver = _step_height(h, ver, sym, mode)  # AnnotationError on an invalid step
+        yield {"1": speedup, "0": "slowdown", "2": "squiggle"}[sym]
+
+
 def validate_annotation(a: str, mode: str = TS_MODE) -> ValidityReport:
     """Height-trace validity check; never raises, failures land in the report."""
     if mode not in (TS_MODE, BPTS_MODE):

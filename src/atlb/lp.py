@@ -7,11 +7,21 @@ preconditions get a common margin variable that is maximized, constant floors
 are dropped (homogeneous form) and the initial d = 1 fixes the scale.  The
 annotation is feasible iff the maximal margin is positive.
 
-Everything here is exact: the tight point a witness is checked at, the
-weak-duality bound from multipliers on an active set, and the exact simplex
-(simplex.solve) from a warm or a cold start.  A float solution only names
-the active set to start from.  Neither numpy nor scipy is imported, so a
-"no" rests on this module and simplex alone.
+Everything here is exact.  _decide, the one place where the certification
+order lives, decides the LP from its float solution (x, row duals), which
+only steers.  A feasible answer is certified by the exact margin of its
+rounded witness at the LP's tight point (each max variable at the max of
+its terms; method "float+primal"), an infeasible one by exact weak-duality
+multipliers solved on the float solution's active set ("float+dual").  When neither certifies, the exact simplex (simplex.solve)
+decides, with the exact LP optimum of either sign ("vertex").  It starts
+warm, at the vertex of the float solution's active set, and pivots on from
+there when that vertex is not optimal; it starts cold, at the crash vertex
+(every speedup parameter 0), when the warm point is no feasible vertex or
+there is no float solution.  A feasible optimum's witness is its own speedup
+parameters; search.feasible, when it replays, takes those of one float
+re-solve toward the tight maxima instead if their tight margin is positive.
+Neither numpy nor scipy is imported, so a "no" rests on this module and
+simplex alone.
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import simplex
-from .kernel import BP_TS, BPTS_MODE, DET_TS, _step_height
+from .kernel import _rule_names
+from .rules import _squiggle_window
 from .simplex import CONST as _CONST
 from .simplex import _solve_rational, _value
 
@@ -82,15 +93,6 @@ class _BuildAlgebra:
     def precondition(self, e: dict):
         self.preconditions.append(e)
         self.rows.append(self.sub(e, {_MARGIN: 1}))
-
-
-def _rule_names(a: str, mode: str):
-    """The rule each symbol applies; the height trace names each speedup."""
-    h, ver = 0, BP_TS if mode == BPTS_MODE else DET_TS
-    for sym in a:
-        speedup = "speedup_rand" if ver == BP_TS else "speedup" if h else "speedup_first"
-        h, ver = _step_height(h, ver, sym, mode)  # AnnotationError on an invalid step
-        yield {"1": speedup, "0": "slowdown", "2": "squiggle"}[sym]
 
 
 def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _BuildAlgebra:
@@ -229,15 +231,34 @@ def _crash_start(lp: _BuildAlgebra):
     return [r for r, row in enumerate(lp.rows) if _value(row, v) == 0], lp.xvars
 
 
-def _check_params(alpha, cc=None, tol=None):
-    """Raise ValueError for what no decision accepts: alpha outside (0, 1],
-    c <= 1, or tol <= 0 (exact bisection would never end).  Scans and
-    searches check once, before enumerating."""
-    if not 0 < alpha <= 1 or (cc is not None and cc <= 1):
-        got = f"alpha={alpha}" + ("" if cc is None else f", c={cc}")
-        raise ValueError(f"parameter range 0 < alpha <= 1 < c fails: {got}")
-    if tol is not None and tol <= 0:
-        raise ValueError(f"tol must be > 0: tol={tol}")
+def _witness(lp: _BuildAlgebra, x) -> tuple[list[Fraction], Fraction]:
+    """The float point x's speedup parameters as nearby simple rationals,
+    and their margin at the tight point."""
+    xs = [Fraction(float(x[i])).limit_denominator(10**12) for i in lp.xvars]
+    return xs, _tight_point(lp, xs)[_MARGIN]
+
+
+def _decide(lp: _BuildAlgebra | None, sol) -> tuple[bool, Fraction | None, list[Fraction], str]:
+    """(feasible, margin, witness, method) of the LP, method "precondition"
+    when there is none.  The float solution sol (x, row duals), or None,
+    only picks which exact check decides and where the simplex starts."""
+    if lp is None:
+        return False, None, [], "precondition"
+    warm = None
+    if sol is not None:
+        x, duals = sol
+        if x[_MARGIN] > _FLOAT_TOL:
+            xs, margin = _witness(lp, x)
+            if margin > 0:
+                return True, margin, xs, "float+primal"
+        elif x[_MARGIN] < -_FLOAT_TOL:
+            bound = _active_dual_bound(lp, x, duals)
+            if bound is not None and bound <= 0:
+                return False, bound, [], "float+dual"
+        warm = _exact_optimum(lp, _warm_start(lp, x, duals))
+    vertex = warm or _exact_optimum(lp, _crash_start(lp))
+    ok = vertex.value > 0
+    return ok, vertex.value, [vertex.point[i] for i in lp.xvars] if ok else [], "vertex"
 
 
 def _lp_of(a, alpha, cc, mode) -> _BuildAlgebra | None:
@@ -245,6 +266,6 @@ def _lp_of(a, alpha, cc, mode) -> _BuildAlgebra | None:
     parameters: a squiggle's precondition 1/alpha < c < (1+alpha)/alpha
     fails, or a squiggle follows a speedup ('12'), where the block's a is 0:
     the guard row gives margin <= -d, the speedup's row d >= margin."""
-    if "12" in a or ("2" in a and not (alpha * cc > 1 and cc < (1 + alpha) / alpha)):
+    if "12" in a or ("2" in a and not _squiggle_window(alpha, cc)):
         return None
     return _build_lp(a, alpha, cc, mode)

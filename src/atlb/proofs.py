@@ -15,14 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .analytics import _bisect, largest_root_cubic, p_alpha
-from .kernel import BP_TS, BPTS_MODE, DET_TS, TS_MODE, AltClass
-from .lp import _check_params, _rule_names
+from .kernel import BP_TS, BPTS_MODE, DET_TS, TS_MODE, AltClass, _rule_names
 from .rules import (
     ProofCertificate,
     ProofReport,
     RuleError,
     RuleStep,
+    _check_params,
     _iterations,
+    _squiggle_window,
     derive,
     expected_assumption,
 )
@@ -85,7 +86,7 @@ def _good_proof(alpha, cc, k: int, d) -> tuple[ProofCertificate, ProofReport]:
     alpha, cc = Fraction(alpha), Fraction(cc)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not (alpha * cc > 1 and cc < (1 + alpha) / alpha):
+    if not _squiggle_window(alpha, cc):
         raise ValueError(
             f"need 1/alpha < c < (1+alpha)/alpha for the squiggle rule: alpha={alpha}, c={cc}"
         )

@@ -58,6 +58,22 @@ def _speedup_parameter(c0: AltClass, x) -> Fraction:
     return x
 
 
+def _check_params(alpha, cc=None, tol=None):
+    """Raise ValueError for what no decision accepts: alpha outside (0, 1],
+    c <= 1, or tol <= 0 (exact bisection would never end).  Scans and
+    searches check once, before enumerating."""
+    if not 0 < alpha <= 1 or (cc is not None and cc <= 1):
+        got = f"alpha={alpha}" + ("" if cc is None else f", c={cc}")
+        raise ValueError(f"parameter range 0 < alpha <= 1 < c fails: {got}")
+    if tol is not None and tol <= 0:
+        raise ValueError(f"tol must be > 0: tol={tol}")
+
+
+def _squiggle_window(alpha, cc) -> bool:
+    """1/alpha < c < (1+alpha)/alpha: the c at which a squiggle can apply."""
+    return alpha * cc > 1 and cc < (1 + alpha) / alpha
+
+
 def speedup_first(c0: AltClass, x: Fraction) -> AltClass:
     """First speedup: guess n^x intermediate configurations of a quantifier-free
     deterministic computation.  TS[d] -> E(x, max(x,1)) A(0, 1) TS[d - x]."""
@@ -153,7 +169,7 @@ def squiggle(
     _require(len(c0.blocks) >= 1, "squiggle needs at least one quantifier")
     _require(c0.verifier == DET_TS, "squiggle needs a deterministic verifier")
     _require(
-        0 < alpha <= 1 and 1 < alpha * cc and cc < (1 + alpha) / alpha,
+        0 < alpha <= 1 and _squiggle_window(alpha, cc),
         f"parameter range 0 < alpha <= 1, 1/alpha < c < (1+alpha)/alpha fails: alpha={alpha}, c={cc}",
     )
     last = c0.blocks[-1]

@@ -1,24 +1,13 @@
 """Float steering and the drivers: per-annotation decisions, scans and
 searches.
 
-The LP of an annotation and every exact check of a float answer are in lp,
-certificate assembly and the named proofs in proofs.  A positive answer is
-replayed through the exact rules at a large concrete d, in one derivation
-(proofs._run_steps over rules.derive) that builds the certificate and
-checks it.
+The LP of an annotation and its exact verdict are in lp (lp._decide orders
+the exact checks that a float solution steers), certificate assembly and the
+named proofs in proofs.  A positive answer is replayed through the exact
+rules at a large concrete d, in one derivation (proofs._run_steps over
+rules.derive) that builds the certificate and checks it; a "vertex"
+verdict's witness is first re-solved in float toward the tight maxima.
 
-The float LP (scipy/HiGHS) only steers: a feasible answer is certified by the
-exact margin of its rounded witness at the LP's tight point (each max
-variable at the max of its terms), an infeasible one by exact weak-duality
-multipliers solved on the float solution's active set (one dual path).  When
-neither certifies, the exact simplex (simplex.solve) decides, with the exact
-LP optimum of either sign (method "vertex").  It starts warm, at the vertex
-of the float solution's active set, and pivots on from there when that
-vertex is not optimal; it starts cold, at the crash vertex (every speedup
-parameter 0), when the warm point is no feasible vertex or the float solve
-does not end optimal.  A feasible optimum's witness is its own speedup
-parameters, or, when replayed, those of one float re-solve toward the tight
-maxima if the rules accept them.
 The float LPs are solved in batches: the LPs of a batch share no
 variable and no row, so they stack into one block-diagonal LP whose
 objective is the sum of their margins, and its optimum and duals split into
@@ -48,22 +37,12 @@ from scipy.sparse import csc_array
 
 from .analytics import _bisect, _midpoint
 from .kernel import TS_MODE, enumerate_annotations, validate_annotation
-from .lp import (
-    _FLOAT_TOL,
-    _MARGIN,
-    _active_dual_bound,
-    _BuildAlgebra,
-    _check_params,
-    _crash_start,
-    _exact_optimum,
-    _lp_of,
-    _tight_point,
-    _warm_start,
-)
+from .lp import _FLOAT_TOL, _MARGIN, _BuildAlgebra, _decide, _lp_of, _witness
 from .proofs import _annotation_steps, _run_steps
 from .rules import (
     ProofCertificate,
     RuleError,
+    _check_params,
     apply_step,  # unused here: perfbench's tracer replaces search.apply_step by name
     verify_proof,  # unused here: perfbench's tracer replaces search.verify_proof by name
 )
@@ -87,22 +66,18 @@ _BATCH = 32
 # --- The float LPs ----------------------------------------------------------
 
 
-def _rounded(lp: _BuildAlgebra, x) -> list[Fraction]:
-    """The float solution's speedup parameters as nearby simple rationals."""
-    return [Fraction(float(x[i])).limit_denominator(10**12) for i in lp.xvars]
-
-
-def _vertex_witness(lp: _BuildAlgebra, opt: Fraction) -> list[Fraction] | None:
-    """The witness of a feasible vertex that is replayed: the speedup
-    parameters of one float re-solve that keeps margin >= opt/_WITNESS_FLOOR
-    and minimizes the sum of the max variables, pushing each toward the
-    tight max the rules compute; None when HiGHS does not end optimal."""
+def _vertex_witness(lp: _BuildAlgebra, opt: Fraction) -> tuple[list[Fraction], Fraction] | None:
+    """The witness of a feasible vertex that is replayed, and its tight
+    margin (lp._witness): the speedup parameters of one float re-solve that
+    keeps margin >= opt/_WITNESS_FLOOR and minimizes the sum of the max
+    variables, pushing each toward the tight max the rules compute; None
+    when HiGHS does not end optimal."""
     a_ub, b_ub, _ = _stacked([lp])
     c = np.ones(lp.nvars)
     c[[_MARGIN, *lp.xvars]] = 0.0
     bounds = [(float(opt / _WITNESS_FLOOR), None)] + [(0, None)] * (lp.nvars - 1)
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_HIGHS)
-    return _rounded(lp, res.x) if res.status == 0 else None
+    return _witness(lp, res.x) if res.status == 0 else None
 
 
 def _stacked(lps: list[_BuildAlgebra]):
@@ -216,41 +191,15 @@ def feasible(
         raise ValueError(f"annotation {a!r} is not a valid complete {mode} annotation")
     _check_params(alpha, cc=cc)
 
-    def result(ok, margin, xs, method, tight=None):
-        # tight: the witness's own margin under the rules, when it differs
-        replay_ok, cert = (False, None)
-        if ok and replay:
-            replay_ok, cert = _replay(a, alpha, cc, mode, xs, tight or margin)
-        return Feasibility(a, alpha, cc, mode, ok, margin, xs, replay_ok, cert, method)
-
     lp, sol = _solved or _solve_batch([(a, alpha, cc, mode)])[0]
-    if lp is None:
-        return result(False, None, [], "precondition")
-
-    warm = None
-    if sol is not None:
-        x, duals = sol
-        mval = x[_MARGIN]
-        if mval > _FLOAT_TOL:
-            xs = _rounded(lp, x)
-            margin = _tight_point(lp, xs)[_MARGIN]
-            if margin > 0:
-                return result(True, margin, xs, "float+primal")
-        elif mval < -_FLOAT_TOL:
-            bound = _active_dual_bound(lp, x, duals)
-            if bound is not None and bound <= 0:
-                return result(False, bound, [], "float+dual")
-        warm = _exact_optimum(lp, _warm_start(lp, x, duals))
-    vertex = warm or _exact_optimum(lp, _crash_start(lp))
-    opt = vertex.value
-    if opt <= 0:
-        return result(False, opt, [], "vertex")
-    if replay and (xs := _vertex_witness(lp, opt)) is not None:
-        tight = _tight_point(lp, xs)[_MARGIN]
-        if tight > 0:
-            return result(True, opt, xs, "vertex", tight)
-    # unreplayed, or no re-solved witness passes the tight check: its own point
-    return result(True, opt, [vertex.point[i] for i in lp.xvars], "vertex")
+    ok, margin, xs, method = _decide(lp, sol)
+    replay_ok, cert = False, None
+    if ok and replay:
+        tight = margin  # a re-solved witness replays at its own tight margin
+        if method == "vertex" and (w := _vertex_witness(lp, margin)) is not None and w[1] > 0:
+            xs, tight = w
+        replay_ok, cert = _replay(a, alpha, cc, mode, xs, tight)
+    return Feasibility(a, alpha, cc, mode, ok, margin, xs, replay_ok, cert, method)
 
 
 def _decide_batch(jobs, replay):

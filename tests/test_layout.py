@@ -115,22 +115,27 @@ def test_unknown_attribute_raises():
         atlb.no_such_name  # noqa: B018
 
 
-def _child(code: str) -> subprocess.CompletedProcess:
+def _child(code: str, unloaded=()) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter on this process's atlb, then fail if
-    it left numpy or scipy in sys.modules."""
+    it left numpy, scipy or one of the unloaded modules in sys.modules."""
     src = str(Path(atlb.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     check = (
         "\nimport sys\n"
         "heavy = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        f"heavy += sorted(m for m in sys.modules if m in {tuple(unloaded)!r})\n"
         "assert not heavy, heavy\n"
     )
     return subprocess.run([sys.executable, "-c", code + check], capture_output=True, text=True, env=env)
 
 
+# a "yes" rests on kernel, rules and proofs: they load no LP code either
+_LP_CODE = ("atlb.lp", "atlb.simplex")
+
+
 @pytest.mark.parametrize("module", ["atlb", "atlb.lp", "atlb.proofs", "atlb.rules"])
 def test_exact_core_imports_no_float_stack(module):
-    proc = _child(f"import {module}")
+    proc = _child(f"import {module}", () if module == "atlb.lp" else _LP_CODE)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -146,5 +151,11 @@ def test_certificate_commands_import_no_float_stack(args, tmp_path):
     proof = tmp_path / "proof.txt"
     proof.write_text(format_certificate(atlb.good_proof(Fraction(1), Fraction(3, 2), 2)))
     argv = [a.format(proof=proof, out=tmp_path / "out.txt") for a in args]
-    proc = _child(f"from atlb.cli import main\nassert main({argv!r}) == 0")
+    proc = _child(f"from atlb.cli import main\nassert main({argv!r}) == 0", _LP_CODE)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_lp_check_sees_lp_code():
+    # the unloaded check itself fails where the LP code is loaded
+    proc = _child("import atlb.lp", _LP_CODE)
+    assert proc.returncode != 0 and "atlb.lp" in proc.stderr and "atlb.simplex" in proc.stderr

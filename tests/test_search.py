@@ -27,10 +27,12 @@ from atlb.lp import (
     _MARGIN,
     _build_lp,
     _crash_start,
+    _decide,
     _dual_bound,
     _exact_optimum,
     _tight_point,
     _warm_start,
+    _witness,
 )
 from atlb.proofs import (
     annotation_certificate,
@@ -139,7 +141,7 @@ class TestFeasible:
         assert f.feasible and f.method == "vertex"
         lp = _build_lp("10102100", F(1), F(8, 5), TS_MODE)
         assert f.margin == F(881, 9425) == _oracle_margin(lp)
-        assert f.witness == search._vertex_witness(lp, f.margin)
+        assert f.witness == search._vertex_witness(lp, f.margin)[0]
         assert _tight_point(lp, f.witness)[_MARGIN] > 0
         assert (f.certificate is None) == (not f.replay_ok)
 
@@ -164,10 +166,19 @@ class TestFeasible:
             return linprog(*args, **kwargs)
 
         monkeypatch.setattr(search, "linprog", counted)
-        monkeypatch.setattr(search, "_crash_start", lambda *args: pytest.fail("cold start"))
+        monkeypatch.setattr(atlb.lp, "_crash_start", lambda *args: pytest.fail("cold start"))
         f = feasible("10102100", F(1), F(8, 5), replay=False)
         assert (f.feasible, f.method, f.margin) == (True, "vertex", F(881, 9425))
         assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+
+    def test_cold_start_guard_fires(self, monkeypatch):
+        # positive control for the cold-start guards (above, and in
+        # test_scan_prove_needs_no_cold_start): with the float solve failing,
+        # the decision starts cold through the patched lp._crash_start
+        monkeypatch.setattr(search, "linprog", lambda *args, **kwargs: OptimizeResult(status=4))
+        monkeypatch.setattr(atlb.lp, "_crash_start", lambda *args: pytest.fail("cold start"))
+        with pytest.raises(pytest.fail.Exception, match="cold start"):
+            feasible("10102100", F(1), F(8, 5), replay=False)
 
     def test_simplex_witness_of_vertex_replays(self):
         # the re-solve's witness replays, with a positive tight margin;
@@ -176,7 +187,7 @@ class TestFeasible:
         assert (f.feasible, f.method, f.replay_ok) == (True, "vertex", True)
         lp = _build_lp("102011000", F(2, 3), F(8, 5), TS_MODE)
         assert f.margin == _oracle_margin(lp)
-        assert f.witness == search._vertex_witness(lp, f.margin)
+        assert f.witness == search._vertex_witness(lp, f.margin)[0]
         assert _tight_point(lp, f.witness)[_MARGIN] > 0
         assert verify_proof(f.certificate).contradiction
 
@@ -234,9 +245,9 @@ class TestFeasible:
         # same verdict and LP optimum, negative ones included
         warm = feasible(a, F(1), cc)
         assert warm.method == "vertex"
-        starts, crash_start = [], search._crash_start
-        monkeypatch.setattr(search, "_warm_start", lambda *args: ([], []))
-        monkeypatch.setattr(search, "_crash_start", lambda lp: starts.append(1) or crash_start(lp))
+        starts, crash_start = [], atlb.lp._crash_start
+        monkeypatch.setattr(atlb.lp, "_warm_start", lambda *args: ([], []))
+        monkeypatch.setattr(atlb.lp, "_crash_start", lambda lp: starts.append(1) or crash_start(lp))
         cold = feasible(a, F(1), cc)
         assert starts
         assert (cold.feasible, cold.method, cold.margin) == (warm.feasible, "vertex", warm.margin)
@@ -341,10 +352,51 @@ def test_tight_point_with_positive_margin_is_lp_feasible(job):
     # margin it satisfies every LP row exactly, so that margin is at most the
     # LP optimum, and a "float+primal" verdict is sound
     lp, (x, _) = search._solve_batch([job])[0]
-    v = _tight_point(lp, search._rounded(lp, x))
+    v = _tight_point(lp, _witness(lp, x)[0])
     if v[_MARGIN] > 0:
         assert all(simplex._value(row, v) >= 0 for row in lp.rows)
         assert v[_MARGIN] <= _oracle_margin(lp)
+
+
+@st.composite
+def steered_lps(draw):
+    """(LP, float solution) of a small ts or bpts LP: HiGHS's own solution,
+    it with noise on x, with its duals zeroed or scaled, random finite
+    vectors, or None."""
+    lp, sol = search._solve_batch([draw(lp_decisions())])[0]
+    x, duals = sol
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steer = draw(st.sampled_from(["highs", "noise", "zero duals", "scaled duals", "random", "none"]))
+    if steer == "noise":
+        x = x + rng.normal(scale=draw(st.sampled_from([1e-10, 1e-7, 1e-3, 1e-1])), size=x.shape)
+    elif steer == "zero duals":
+        duals = np.zeros_like(duals)
+    elif steer == "scaled duals":
+        duals = duals * draw(st.sampled_from([-1.0, 1e-3, 0.5, 2.0, 1e3]))
+    elif steer == "random":
+        x, duals = rng.uniform(-2, 2, x.shape), rng.uniform(-2, 2, duals.shape)
+    return lp, None if steer == "none" else (x, duals)
+
+
+@given(steered_lps())
+@settings(max_examples=60, deadline=None)
+def test_floats_only_steer(steered):
+    # whatever float solution lp._decide is given, its verdict is the cold
+    # start's, the exact optimum's sign.  A float "yes" has a witness whose
+    # tight margin is its margin, at most that optimum; a "vertex" verdict's
+    # margin is the optimum itself (its own witness may lie above the tight
+    # maxima, which replay re-solves).  A "no" has a margin between the
+    # optimum and 0
+    lp, sol = steered
+    cold_ok, opt, _, cold_method = _decide(lp, None)
+    ok, margin, xs, method = _decide(lp, sol)
+    assert cold_method == "vertex" and ok == cold_ok
+    if method == "float+primal":
+        assert 0 < _tight_point(lp, xs)[_MARGIN] == margin <= opt
+    elif method == "vertex":
+        assert margin == opt
+    if not ok:
+        assert opt <= margin <= 0
 
 
 class TestBestExponent:
@@ -842,8 +894,8 @@ class TestBatchedDecisions:
         # and the witness re-solve fails too: the witness is the verdict's
         # own vertex
         monkeypatch.setattr(search, "linprog", lambda *args, **kwargs: OptimizeResult(status=4))
-        starts, crash_start = [], search._crash_start
-        monkeypatch.setattr(search, "_crash_start", lambda lp: starts.append(1) or crash_start(lp))
+        starts, crash_start = [], atlb.lp._crash_start
+        monkeypatch.setattr(atlb.lp, "_crash_start", lambda lp: starts.append(1) or crash_start(lp))
         report = optimality_scan(F(2, 3), F(8, 5), 8)
         assert sum(e.method == "vertex" for e in report.entries) == len(starts) == 56
         assert report.replay_failed == 4
@@ -1014,8 +1066,8 @@ def test_failed_float_solves_keep_search_answer(monkeypatch):
     # and every LP decision starts the exact simplex cold
     want = search_best(5, F(1))
     monkeypatch.setattr(search, "linprog", lambda *args, **kwargs: OptimizeResult(status=4))
-    starts, crash_start = [], search._crash_start
-    monkeypatch.setattr(search, "_crash_start", lambda lp: starts.append(1) or crash_start(lp))
+    starts, crash_start = [], atlb.lp._crash_start
+    monkeypatch.setattr(atlb.lp, "_crash_start", lambda lp: starts.append(1) or crash_start(lp))
     decided = _record_decisions(monkeypatch)
     got = search_best(5, F(1))
     assert (got.annotation, got.best_c) == (want.annotation, want.best_c)
@@ -1063,7 +1115,7 @@ def test_scan_prove_needs_no_cold_start(monkeypatch):
     def no_cold_start(*args, **kwargs):
         raise AssertionError("exact simplex started cold")
 
-    monkeypatch.setattr(search, "_crash_start", no_cold_start)
+    monkeypatch.setattr(atlb.lp, "_crash_start", no_cold_start)
     for cc in wl.domain:
         report = wl.run(cc)
         assert report.feasible_entries and report.replay_failed == 0, cc
