@@ -162,15 +162,15 @@ def format_class(c: AltClass) -> str:
 
 # --- Annotations -----------------------------------------------------------
 #
-# Heights track the number of quantifier blocks of the class at each point.
-# ts mode (deterministic verifier throughout):
-#   '1' from height 0 adds two blocks (first speedup), otherwise one;
-#   '0' removes one block; '2' needs a block and is height-neutral.
+# Heights track the number of quantifier blocks of the class at each point;
+# a speedup reads the empty prefix, height 0, as the input block E(0,1).
+# ts mode (deterministic verifier throughout): '1' appends one block;
+# '0' removes one block; '2' needs a block and is height-neutral.
 # bpts mode additionally tracks the verifier kind: the randomized speedup
-# ('1' on a randomized verifier) adds three blocks from height 0 and two
-# otherwise, and makes the verifier deterministic; a speedup on a
-# deterministic verifier adds one block; '0' flips back to randomized;
-# '2' requires a deterministic verifier and is height-neutral.
+# ('1' on a randomized verifier) appends two blocks and makes the verifier
+# deterministic; a speedup on a deterministic verifier appends one block;
+# '0' flips back to randomized; '2' requires a deterministic verifier and
+# is height-neutral.
 
 ANNOTATION_SYMBOLS = "012"
 
@@ -183,45 +183,49 @@ class ValidityReport:
     first_error: tuple[int, str] | None
 
 
-def _step_height(h: int, ver: str, sym: str, mode: str):
-    """One height-rule step; returns (new_h, new_ver) or raises AnnotationError."""
+def _verifier(mode: str) -> str:
+    """The verifier a mode's walks start from and its slowdowns land in;
+    ValueError for an unknown mode."""
+    if mode not in (TS_MODE, BPTS_MODE):
+        raise ValueError(f"unknown mode {mode!r}")
+    return BP_TS if mode == BPTS_MODE else DET_TS
+
+
+def _step(h: int, ver: str, sym: str, mode: str) -> tuple[str, int, str]:
+    """One symbol's rule and height step: (rule, new_h, new_ver), or
+    AnnotationError.  A speedup reads height 0 as the input block."""
     if sym == "1":
-        if mode == BPTS_MODE and ver == BP_TS:
-            return (h + 3 if h == 0 else h + 2), DET_TS
-        return (h + 2 if h == 0 else h + 1), DET_TS
+        if ver == BP_TS:
+            return "speedup_rand", (h or 1) + 2, DET_TS
+        return ("speedup" if h else "speedup_first"), (h or 1) + 1, DET_TS
     if sym == "0":
         if h < 1:
             raise AnnotationError("slowdown with no quantifier")
-        new_ver = BP_TS if mode == BPTS_MODE else DET_TS
-        return h - 1, new_ver
+        return "slowdown", h - 1, BP_TS if mode == BPTS_MODE else DET_TS
     if sym == "2":
         if h < 1:
             raise AnnotationError("squiggle with no quantifier")
         if ver != DET_TS:
             raise AnnotationError("squiggle on a randomized verifier")
-        return h, DET_TS
+        return "squiggle", h, DET_TS
     raise AnnotationError(f"unknown annotation symbol {sym!r}")
 
 
 def _rule_names(a: str, mode: str):
-    """The rule each symbol applies; the height trace names each speedup."""
-    h, ver = 0, BP_TS if mode == BPTS_MODE else DET_TS
+    """The rule each symbol applies, read off the height trace."""
+    h, ver = 0, _verifier(mode)
     for sym in a:
-        speedup = "speedup_rand" if ver == BP_TS else "speedup" if h else "speedup_first"
-        h, ver = _step_height(h, ver, sym, mode)  # AnnotationError on an invalid step
-        yield {"1": speedup, "0": "slowdown", "2": "squiggle"}[sym]
+        rule, h, ver = _step(h, ver, sym, mode)  # AnnotationError on an invalid step
+        yield rule
 
 
 def validate_annotation(a: str, mode: str = TS_MODE) -> ValidityReport:
     """Height-trace validity check; never raises, failures land in the report."""
-    if mode not in (TS_MODE, BPTS_MODE):
-        raise ValueError(f"unknown mode {mode!r}")
-    h = 0
-    ver = BP_TS if mode == BPTS_MODE else DET_TS
+    h, ver = 0, _verifier(mode)
     points = [(0, 0)]
     for t, sym in enumerate(a):
         try:
-            h, ver = _step_height(h, ver, sym, mode)
+            _, h, ver = _step(h, ver, sym, mode)
         except AnnotationError as exc:
             return ValidityReport(False, False, tuple(points), (t, str(exc)))
         points.append((t + 1, h))
@@ -247,14 +251,14 @@ def enumerate_annotations(max_len: int, mode: str = TS_MODE):
             return
         for sym in ANNOTATION_SYMBOLS:
             try:
-                nh, nver = _step_height(h, ver, sym, mode)
+                _, nh, nver = _step(h, ver, sym, mode)
             except AnnotationError:
                 continue
             prefix.append(sym)
             yield from extend(prefix, nh, nver, seen_speedup or sym == "1", length)
             prefix.pop()
 
-    start_ver = BP_TS if mode == BPTS_MODE else DET_TS
+    start_ver = _verifier(mode)
     for length in range(1, max_len + 1):
         yield from extend([], 0, start_ver, False, length)
 

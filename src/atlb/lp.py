@@ -106,17 +106,11 @@ def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _BuildAlgebra
             x = lp.x()
             lp.precondition(x)
             lp.precondition(lp.sub(d, x))
-            if rule == "speedup_first":  # E(x, max(x,1)) A(0, 1)
-                blocks += [(x, x), (zero, zero)]
-            elif rule == "speedup":
-                a0, b0 = blocks[-1]
-                blocks[-1] = (lp.max_of([a0, x]), lp.max_of([b0, x]))
-                blocks.append((zero, b0))
-            elif blocks:  # randomized speedup
-                a0, b0 = blocks[-1]
-                blocks += [(x, lp.max_of([b0, x])), (zero, b0)]
-            else:  # randomized first speedup: E(0,1) A(x, max(x,1)) E(0,1)
-                blocks += [(zero, zero), (x, x), (zero, zero)]
+            a0, b0 = blocks.pop() if blocks else (zero, zero)  # the input block E(0,1)
+            if rule == "speedup_rand":
+                blocks += [(a0, b0), (x, lp.max_of([b0, x])), (zero, b0)]
+            else:
+                blocks += [(lp.max_of([a0, x]), lp.max_of([b0, x])), (zero, b0)]
             d = lp.sub(d, x)
         elif rule == "slowdown":
             a0, b0 = blocks.pop()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .analytics import _bisect, largest_root_cubic, p_alpha
-from .kernel import BP_TS, BPTS_MODE, DET_TS, TS_MODE, AltClass, _rule_names
+from .kernel import BPTS_MODE, TS_MODE, AltClass, _rule_names, _verifier
 from .rules import (
     ProofCertificate,
     ProofReport,
@@ -47,7 +47,7 @@ def _run_steps(alpha, cc, mode, d0, steps) -> tuple[ProofCertificate, ProofRepor
     """The certificate of the steps applied from the empty class at d0, and
     the report of that one derivation: verify_proof's when 0 < alpha <= 1 < c.
     RuleError names the first failing step."""
-    first = AltClass((), BP_TS if mode == BPTS_MODE else DET_TS, Fraction(d0))
+    first = AltClass((), _verifier(mode), Fraction(d0))
     classes, report = derive(alpha, cc, mode, first, steps)
     if not report.valid:
         raise RuleError(report.first_error[1])
@@ -127,18 +127,16 @@ def good_proof_contradicts(alpha: Fraction, cc: Fraction, k: int) -> bool:
 
 def good_proof_best_c(alpha: Fraction, k: int, tol: Fraction = Fraction(1, 10**7)) -> Fraction:
     """Largest c (within tol) at which the Good proof of height k shows a
-    proper contradiction, by bisection from c = lo + (hi-lo)/1000 (lo the
-    larger of 1 and 1/alpha, hi = (1+alpha)/alpha), where it must hold."""
+    proper contradiction, by bisection from c = max(1, 1/alpha) + 1/1000,
+    where it must hold, to hi = (1+alpha)/alpha."""
     alpha, tol = Fraction(alpha), Fraction(tol)
     _check_params(alpha, tol=tol)
     if k < 1:
         raise ValueError("k must be >= 1")
-    lo_base = max(Fraction(1), 1 / alpha)
-    hi = (1 + alpha) / alpha
-    lo = lo_base + (hi - lo_base) / 1000
+    lo = max(Fraction(1), 1 / alpha) + Fraction(1, 1000)
     if not good_proof_contradicts(alpha, lo, k):
         raise RuntimeError(f"no contradicting c found for alpha={alpha}, k={k}")
-    return _bisect(lambda c: good_proof_contradicts(alpha, c, k), lo, hi, tol)
+    return _bisect(lambda c: good_proof_contradicts(alpha, c, k), lo, (1 + alpha) / alpha, tol)
 
 
 def good_proof_limit(alpha: Fraction) -> float:

@@ -19,11 +19,11 @@ from .kernel import (
     BPTS_MODE,
     DET_TS,
     EXISTS,
-    FORALL,
     TS_MODE,
     AltClass,
     Block,
     _flip,
+    _verifier,
     format_class,
     format_rational,
     parse_class,
@@ -34,6 +34,7 @@ SQUIGGLE_ITERATION_CAP = 10**6
 
 RULE_NAMES = ("speedup_first", "speedup", "speedup_rand", "slowdown", "grover", "squiggle")
 ASSUMPTIONS = ("ntime", "ebqp", "ebp")
+_INPUT = Block(EXISTS, Fraction(0), Fraction(1))  # the input block a quantifier-free class ends in
 
 
 class RuleError(ValueError):
@@ -58,13 +59,19 @@ def _speedup_parameter(c0: AltClass, x) -> Fraction:
     return x
 
 
+def _range_error(alpha, cc=None) -> str | None:
+    """The message when alpha lies outside (0, 1] or c (unless None) <= 1."""
+    if not 0 < alpha <= 1 or (cc is not None and cc <= 1):
+        got = f"alpha={alpha}" + ("" if cc is None else f", c={cc}")
+        return f"parameter range 0 < alpha <= 1 < c fails: {got}"
+
+
 def _check_params(alpha, cc=None, tol=None):
     """Raise ValueError for what no decision accepts: alpha outside (0, 1],
     c <= 1, or tol <= 0 (exact bisection would never end).  Scans and
     searches check once, before enumerating."""
-    if not 0 < alpha <= 1 or (cc is not None and cc <= 1):
-        got = f"alpha={alpha}" + ("" if cc is None else f", c={cc}")
-        raise ValueError(f"parameter range 0 < alpha <= 1 < c fails: {got}")
+    if message := _range_error(alpha, cc):
+        raise ValueError(message)
     if tol is not None and tol <= 0:
         raise ValueError(f"tol must be > 0: tol={tol}")
 
@@ -74,46 +81,40 @@ def _squiggle_window(alpha, cc) -> bool:
     return alpha * cc > 1 and cc < (1 + alpha) / alpha
 
 
+def _speedup(c0: AltClass, x: Fraction) -> AltClass:
+    """Merge the guess n^x into the last block (a quantifier-free class's input
+    block) and append a log-width block of the opposite kind; d' = d - x."""
+    x = _speedup_parameter(c0, x)
+    *prefix, last = c0.blocks or (_INPUT,)
+    merged = Block(last.kind, max(last.a, x), max(last.b, x))
+    appended = Block(_flip(last.kind), Fraction(0), last.b)
+    return AltClass((*prefix, merged, appended), DET_TS, c0.d - x)
+
+
 def speedup_first(c0: AltClass, x: Fraction) -> AltClass:
-    """First speedup: guess n^x intermediate configurations of a quantifier-free
-    deterministic computation.  TS[d] -> E(x, max(x,1)) A(0, 1) TS[d - x]."""
+    """First speedup: the usual speedup of a quantifier-free deterministic
+    class's input block.  TS[d] -> E(x, max(x,1)) A(0, 1) TS[d - x]."""
     _require(not c0.blocks, "speedup_first needs a quantifier-free class")
     _require(c0.verifier == DET_TS, "speedup_first needs a deterministic verifier")
-    x = _speedup_parameter(c0, x)
-    blocks = (Block(EXISTS, x, max(x, Fraction(1))), Block(FORALL, Fraction(0), Fraction(1)))
-    return AltClass(blocks, DET_TS, c0.d - x)
+    return _speedup(c0, x)
 
 
 def speedup(c0: AltClass, x: Fraction) -> AltClass:
-    """Usual speedup: merge the new guess into the last quantifier and append a
-    log-width quantifier of the opposite kind.  d' = d - x."""
+    """Usual speedup of a class with at least one quantifier."""
     _require(len(c0.blocks) >= 1, "speedup needs at least one quantifier")
     _require(c0.verifier == DET_TS, "speedup needs a deterministic verifier")
-    x = _speedup_parameter(c0, x)
-    last = c0.blocks[-1]
-    merged = Block(last.kind, max(last.a, x), max(last.b, x))
-    appended = Block(_flip(last.kind), Fraction(0), last.b)
-    return AltClass(c0.blocks[:-1] + (merged, appended), DET_TS, c0.d - x)
+    return _speedup(c0, x)
 
 
 def speedup_randomized(c0: AltClass, x: Fraction) -> AltClass:
-    """Randomized speedup: adds two quantifiers and derandomizes the verifier."""
+    """Randomized speedup: adds two quantifiers after the last one (the input
+    block of a quantifier-free class) and derandomizes the verifier."""
     _require(c0.verifier == BP_TS, "randomized speedup needs a randomized verifier")
     x = _speedup_parameter(c0, x)
-    one = Fraction(1)
-    if not c0.blocks:
-        blocks = (
-            Block(EXISTS, Fraction(0), one),
-            Block(FORALL, x, max(x, one)),
-            Block(EXISTS, Fraction(0), one),
-        )
-    else:
-        last = c0.blocks[-1]
-        blocks = c0.blocks + (
-            Block(_flip(last.kind), x, max(last.b, x)),
-            Block(last.kind, Fraction(0), last.b),
-        )
-    return AltClass(blocks, DET_TS, c0.d - x)
+    blocks = c0.blocks or (_INPUT,)
+    last = blocks[-1]
+    guessed = Block(_flip(last.kind), x, max(last.b, x))
+    return AltClass(blocks + (guessed, Block(last.kind, Fraction(0), last.b)), DET_TS, c0.d - x)
 
 
 def slowdown_generic(
@@ -124,13 +125,13 @@ def slowdown_generic(
     verifier is randomized (the assumed containment lands in BPTS)."""
     alpha, cc = Fraction(alpha), Fraction(cc)
     _require(len(c0.blocks) >= 1, "slowdown needs at least one quantifier")
-    _require(0 < alpha <= 1 < cc, f"parameter range 0 < alpha <= 1 < c fails: alpha={alpha}, c={cc}")
+    if message := _range_error(alpha, cc):
+        raise RuleError(message)
+    verifier = _verifier(mode)
     if mode == TS_MODE:
         _require(c0.verifier == DET_TS, "deterministic slowdown needs a deterministic verifier")
-    last = c0.blocks[-1]
-    b_prev = c0.blocks[-2].b if len(c0.blocks) >= 2 else Fraction(1)
-    d_new = cc * max(alpha * c0.d, last.b, last.a, b_prev, Fraction(1))
-    verifier = BP_TS if mode == BPTS_MODE else DET_TS
+    prev, last = ((_INPUT,) + c0.blocks)[-2:]
+    d_new = cc * max(alpha * c0.d, last.b, last.a, prev.b, Fraction(1))
     return AltClass(c0.blocks[:-1], verifier, d_new)
 
 
@@ -329,14 +330,13 @@ def verify_proof(p: ProofCertificate) -> ProofReport:
     def fail(message: str) -> ProofReport:
         return ProofReport(False, False, (0, message), None)
 
-    if not (0 < p.alpha <= 1 < p.c):
-        return fail(f"parameter range 0 < alpha <= 1 < c fails: alpha={p.alpha}, c={p.c}")
+    if message := _range_error(p.alpha, p.c):
+        return fail(message)
     uses_grover = any(s.rule == "grover" for s in p.steps)
     expected = expected_assumption(p.mode, uses_grover)
     if p.assumption != expected:
         return fail(f"assumption {p.assumption!r} inconsistent with mode/rules (expected {expected!r})")
-    start_ver = BP_TS if p.mode == BPTS_MODE else DET_TS
-    if p.classes[0].verifier != start_ver:
+    if p.classes[0].verifier != _verifier(p.mode):
         return fail(f"initial class verifier {p.classes[0].verifier} does not match mode {p.mode}")
     derived, report = derive(p.alpha, p.c, p.mode, p.classes[0], p.steps)
     for i, (stated, cur) in enumerate(zip(p.classes[1:], derived[1:]), start=1):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from atlb.kernel import (
+    _rule_names,
     BP_TS,
     BPTS_MODE,
     DET_TS,
@@ -136,6 +137,36 @@ class TestAnnotationHeights:
         report = validate_annotation("1000")  # ts mode: goes below zero
         assert not report.valid
         assert report.first_error == (3, "slowdown with no quantifier")
+
+    def test_heights_are_the_rules_block_counts(self):
+        # every valid complete annotation derived through the rules: the
+        # class after each step has as many blocks as the height trace says
+        from atlb.proofs import _annotation_steps, _run_steps
+
+        count = 0
+        for mode in (TS_MODE, BPTS_MODE):
+            for a in enumerate_annotations(8, mode):
+                xs = [Fraction(1, 1000)] * a.count("1")
+                steps = _annotation_steps(a, mode, xs)
+                cert = _run_steps(Fraction(1), Fraction(3, 2), mode, Fraction(10**6), steps)[0]
+                heights = [h for _, h in validate_annotation(a, mode).heights]
+                assert [len(c.blocks) for c in cert.classes] == heights, (a, mode)
+                count += 1
+        assert count == 164
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda: list(enumerate_annotations(5, "xx")),
+        lambda: list(_rule_names("100", "xx")),
+        lambda: validate_annotation("100", "xx"),
+    ],
+    ids=["enumerate_annotations", "_rule_names", "validate_annotation"],
+)
+def test_unknown_mode_raises(walk):
+    with pytest.raises(ValueError, match="^unknown mode 'xx'$"):
+        walk()
 
 
 def _brute_force(max_len, mode):

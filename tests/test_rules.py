@@ -130,6 +130,12 @@ class TestSlowdownGeneric:
         with pytest.raises(RuleError):
             slowdown_generic(parse_class("TS d=2"), F(1), F(2))
 
+    def test_unknown_mode_raises(self):
+        # not read as ts, whose verifier check it would skip on a BPTS class
+        with pytest.raises(ValueError, match="^unknown mode 'xx'$") as exc:
+            slowdown_generic(parse_class("E(a=1,b=1) BPTS d=4"), F(1), F(3, 2), "xx")
+        assert exc.type is ValueError
+
     def test_parameter_range(self):
         with pytest.raises(RuleError):
             slowdown_generic(parse_class("E(a=1,b=1) TS d=2"), F(1), F(1))

@@ -266,16 +266,22 @@ class TestFeasible:
         assert optima["100100"] == F(-1295931061521, 4000000000000)
 
     @pytest.mark.parametrize(
-        "a, cc",
-        [("100", F(7, 5)), ("1102020", F(17, 10)), ("111100202020", F(44, 25))],
+        "a, cc, mode",
+        [
+            ("100", F(7, 5), TS_MODE),
+            ("1102020", F(17, 10), TS_MODE),
+            ("111100202020", F(44, 25), TS_MODE),
+            ("11100000", F(13, 10), BPTS_MODE),  # randomized speedup of a quantifier-free class
+            ("1001000", F(6, 5), BPTS_MODE),  # randomized speedup under a prefix
+        ],
     )
-    def test_lp_walk_matches_rule_replay(self, a, cc):
+    def test_lp_walk_matches_rule_replay(self, a, cc, mode):
         # the LP's tight point and the exact rules agree on the witness: the
         # replay ends at d0 times the final d of the tight point, read from
         # the last precondition, 1 - d
-        f = feasible(a, F(1), cc)
+        f = feasible(a, F(1), cc, mode)
         assert f.feasible and f.replay_ok
-        lp = _build_lp(a, F(1), cc, TS_MODE)
+        lp = _build_lp(a, F(1), cc, mode)
         final_d = 1 - simplex._value(lp.preconditions[-1], _tight_point(lp, f.witness))
         classes = f.certificate.classes
         assert classes[-1].d == classes[0].d * final_d
