@@ -35,6 +35,10 @@ writes to OUT, one line each:
   starts and no cold one).  A bisection's float solve takes the LPs of the
   path its float margins predict: the searches make 132 HiGHS calls and
   the bisections 887 (528 and 4,288 at one float solve per midpoint);
+- with them, walks= the LP templates walked (lp._template) and lps= the
+  LPs read from them (lp._LP) in each part: a scan walks each annotation
+  with an LP once, a bisection each of its annotations once, and every
+  float solve reads one LP per (annotation, c) it takes;
 - a sha256 over the formatted certificates of each part that builds them:
   the sweep's replayed entries, the search winners, and the named proofs
   (the bpts proofs at c in {7/5, 3/2} and good_proof at three (alpha, c, k));
@@ -52,7 +56,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from atlb import proofs, rules, search, simplex
+from atlb import lp, proofs, rules, search, simplex
 from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
 from atlb.rules import format_certificate, verify_proof
 
@@ -79,6 +83,8 @@ def main(out_path: str) -> None:
     calls: Counter = Counter()
     counted(search, "linprog", calls)
     counted(simplex, "solve", calls)
+    counted(lp, "_template", calls)
+    counted(lp, "_LP", calls)
     for module in (rules, search):
         counted(module, "apply_step", calls)
         counted(module, "verify_proof", calls)
@@ -89,7 +95,8 @@ def main(out_path: str) -> None:
     def part_done(name):
         lines.append(
             f"calls {name}: linprog={calls['linprog']} simplex={calls['solve']} "
-            f"apply_step={calls['apply_step']} verify_proof={calls['verify_proof']}"
+            f"apply_step={calls['apply_step']} verify_proof={calls['verify_proof']} "
+            f"walks={calls['_template']} lps={calls['_LP']}"
         )
         calls.clear()
         if certs:

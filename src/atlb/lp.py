@@ -7,17 +7,25 @@ preconditions get a common margin variable that is maximized, constant floors
 are dropped (homogeneous form) and the initial d = 1 fixes the scale.  The
 annotation is feasible iff the maximal margin is positive.
 
+The LP's variables, rows and sparsity do not depend on (alpha, c), and each
+coefficient is +-1 times a monomial in c, alpha*c and the squiggle guard's
+ratio rho = alpha*c/(alpha*c - 1).  _template walks the annotation once
+into an LP whose coefficients are int codes for these monomials; _LP reads
+that template at one (alpha, c) through a _Table of the codes' values,
+exact and float, so an annotation decided at many c is walked once.
+
 Everything here is exact.  _decide, the one place where the certification
 order lives, decides the LP from its float solution (x, row duals), which
 only steers.  A feasible answer is certified by the exact margin of its
 rounded witness at the LP's tight point (each max variable at the max of
 its terms; method "float+primal"), an infeasible one by exact weak-duality
-multipliers solved on the float solution's active set ("float+dual").  When neither certifies, the exact simplex (simplex.solve)
-decides, with the exact LP optimum of either sign ("vertex").  It starts
-warm, at the vertex of the float solution's active set, and pivots on from
-there when that vertex is not optimal; it starts cold, at the crash vertex
-(every speedup parameter 0), when the warm point is no feasible vertex or
-there is no float solution.  A feasible optimum's witness is its own speedup
+multipliers solved on the float solution's active set ("float+dual").
+When neither certifies, the exact simplex (simplex.solve) decides, with the
+exact LP optimum of either sign ("vertex").  It starts warm, at the vertex
+of the float solution's active set, and pivots on from there when that
+vertex is not optimal; it starts cold, at the crash vertex (every speedup
+parameter 0), when the warm point is no feasible vertex or there is no
+float solution.  A feasible optimum's witness is its own speedup
 parameters; search.feasible, when it replays, takes those of one float
 re-solve toward the tight maxima instead if their tight margin is positive.
 Neither numpy nor scipy is imported, so a "no" rests on this module and
@@ -27,6 +35,7 @@ simplex alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import simplex
 from .kernel import _rule_names
@@ -41,18 +50,33 @@ _DUAL_TOL = 1e-11  # a row dual below -_DUAL_TOL is nonzero
 
 
 # --- The LP of an annotation ------------------------------------------------
+#
+# A coefficient code is an int: +-2^i 3^j 5^l stands for +-c^i (alpha c)^j rho^l,
+# so 1 and -1 stand for themselves.  Scaling an expression by c, alpha*c or
+# rho multiplies its codes by _C, _AC or _RHO.
+_C, _AC, _RHO = 2, 3, 5
 
 
-class _BuildAlgebra:
-    """The LP, built from linear expressions {var index: coeff, _CONST: coeff}.
+class _Template:
+    """The LP of an annotation for every (alpha, c), built from linear
+    expressions {var index: code, _CONST: code}.
 
-    Besides the rows it keeps each max variable's terms, in creation order,
-    and each strict precondition: what _tight_point evaluates.  Coefficients
-    that do not depend on c are the ints 1 and -1, not Fractions."""
+    Its rows, each meaning expr >= 0, are kept as entries (row, column,
+    code), row by row, in the order of their expressions' keys.  Besides
+    them it keeps each max variable's terms, in creation order, and each
+    strict precondition: what _tight_point evaluates.  The walk only scales
+    expressions, multiplying their codes, and subtracts ones that share no
+    variable, so each coefficient is +-1 times one monomial.  sub refuses a
+    shared variable, which only an annotation with '12' meets (it has no
+    LP, see _lp_of; tests/lp_walk.py builds it in Fractions)."""
 
-    def __init__(self):
+    def __init__(self, annotation: str):
+        self.annotation = annotation
         self.nvars = 1  # var 0 is the margin
-        self.rows: list[dict[int, Fraction | int]] = []  # each row means expr >= 0
+        self.nrows = 0
+        self.coo_rows: list[int] = []
+        self.coo_cols: list[int] = []
+        self.coo_codes: list[int] = []
         self.xvars: list[int] = []
         self.maxes: list[tuple[int, list[dict]]] = []  # (max variable, its terms)
         self.preconditions: list[dict] = []  # each means expr > 0
@@ -62,21 +86,29 @@ class _BuildAlgebra:
         self.nvars += 1
         return i
 
+    def _row(self, cols: list[int], codes: list[int]):
+        """Add the row sum of codes[k] * v[cols[k]] >= 0."""
+        self.coo_rows += [self.nrows] * len(cols)
+        self.coo_cols += cols
+        self.coo_codes += codes
+        self.nrows += 1
+
     def x(self) -> dict:
         i = self._new_var()
         self.xvars.append(i)
         return {i: 1}
 
     def sub(self, e1: dict, e2: dict) -> dict:
+        """e1 - e2, for expressions without a common variable."""
+        if not e1.keys().isdisjoint(e2):
+            raise ValueError(f"no LP template for {self.annotation!r}: a difference shares a term")
         out = dict(e1)
-        for k, v in e2.items():
-            out[k] = out.get(k, 0) - v
-            if not out[k]:
-                del out[k]
+        for k, code in e2.items():
+            out[k] = -code
         return out
 
-    def scale(self, fac: Fraction, e: dict) -> dict:
-        return {k: fac * v for k, v in e.items()} if fac else {}
+    def scale(self, code: int, e: dict) -> dict:
+        return {k: code * v for k, v in e.items()}
 
     def max_of(self, terms: list[dict]) -> dict:
         terms = [t for t in terms if t]
@@ -87,17 +119,17 @@ class _BuildAlgebra:
         i = self._new_var()
         self.maxes.append((i, terms))
         for t in terms:
-            self.rows.append(self.sub({i: 1}, t))
+            self._row([i, *t], [1, *(-code for code in t.values())])
         return {i: 1}
 
     def precondition(self, e: dict):
         self.preconditions.append(e)
-        self.rows.append(self.sub(e, {_MARGIN: 1}))
+        self._row([*e, _MARGIN], [*e.values(), -1])
 
 
-def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _BuildAlgebra:
-    """The LP of the annotation's homogeneous rule semantics."""
-    lp = _BuildAlgebra()
+def _template(a: str, mode: str) -> _Template:
+    """The LP template of the annotation's homogeneous rule semantics."""
+    lp = _Template(a)
     zero: dict = {}
     blocks: list[tuple] = []  # (a value, b value); constant-1 floors are zero
     d = {_CONST: 1}
@@ -105,21 +137,21 @@ def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _BuildAlgebra
         if rule.startswith("speedup"):
             x = lp.x()
             lp.precondition(x)
-            lp.precondition(lp.sub(d, x))
+            d = lp.sub(d, x)
+            lp.precondition(d)
             a0, b0 = blocks.pop() if blocks else (zero, zero)  # the input block E(0,1)
             if rule == "speedup_rand":
                 blocks += [(a0, b0), (x, lp.max_of([b0, x])), (zero, b0)]
             else:
                 blocks += [(lp.max_of([a0, x]), lp.max_of([b0, x])), (zero, b0)]
-            d = lp.sub(d, x)
         elif rule == "slowdown":
             a0, b0 = blocks.pop()
             b_prev = blocks[-1][1] if blocks else zero
-            lead = lp.scale(cc * alpha, d)  # a grover collapse is this lead at alpha = 2/3
-            d = lp.max_of([lead, lp.scale(cc, b0), lp.scale(cc, a0), lp.scale(cc, b_prev)])
+            lead = lp.scale(_AC, d)  # a grover collapse is this lead at alpha = 2/3
+            d = lp.max_of([lead, lp.scale(_C, b0), lp.scale(_C, a0), lp.scale(_C, b_prev)])
         else:
             # rules.squiggle's one step without its constant floor: under the
-            # guard d < ratio*a_k, d goes to the fixed point c*max(a_k, b_k).
+            # guard d < rho*a_k, d goes to the fixed point c*max(a_k, b_k).
             # Two differences.  First, where the rule is a no-op (d at or
             # below the fixed point, or the guard fails) these rows raise d
             # to c*max(a_k, b_k), or are infeasible.  No scan's answer moves:
@@ -131,14 +163,85 @@ def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _BuildAlgebra
             # optimum that uses it fails the tight witness check and can fail
             # replay (10102100 at c = 8/5).
             a0, b0 = blocks[-1]
-            ratio = alpha * cc / (alpha * cc - 1)
-            lp.precondition(lp.sub(lp.scale(ratio, a0), d))
-            d = lp.max_of([lp.scale(cc, a0), lp.scale(cc, b0)])
+            lp.precondition(lp.sub(lp.scale(_RHO, a0), d))
+            d = lp.max_of([lp.scale(_C, a0), lp.scale(_C, b0)])
     lp.precondition(lp.sub({_CONST: 1}, d))
     return lp
 
 
-def _tight_point(lp: _BuildAlgebra, xs: list[Fraction]) -> dict[int, Fraction]:
+class _Memo(dict):
+    """fn(key) of each key, computed at its first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _Table:
+    """The coefficients at one (alpha, c): exact[code] is the int a code 0
+    or +-1 stands for, else the Fraction +-c^i (alpha c)^j rho^l, and
+    floats[code] its float.  Each is computed at its code's first lookup."""
+
+    def __init__(self, alpha: Fraction, cc: Fraction):
+        self.alpha, self.cc = alpha, cc
+        self.exact = _Memo(self._coefficient)
+        self.floats = _Memo(lambda code: float(self.exact[code]))
+
+    def _coefficient(self, code: int) -> Fraction | int:
+        value, n = (1, code) if code >= 0 else (-1, -code)
+        if n < 2:
+            return code
+        ac = self.alpha * self.cc
+        while n % _RHO == 0:
+            value, n = value * ac / (ac - 1), n // _RHO
+        while n % _AC == 0:
+            value, n = value * ac, n // _AC
+        while n % _C == 0:
+            value, n = value * self.cc, n // _C
+        return value
+
+
+class _LP:
+    """The template's LP at the table's (alpha, c): its rows, max terms and
+    preconditions in the template's order, each list built exact from the
+    table when it is first read (search stacks the floats from the template
+    and the table, and a "float+primal" verdict reads no row)."""
+
+    def __init__(self, template: _Template, table: _Table):
+        self.template, self.table = template, table
+        self.nvars, self.xvars = template.nvars, template.xvars
+
+    def _exact(self, exprs: list[dict]) -> list[dict]:
+        exact = self.table.exact
+        return [{i: exact[code] for i, code in e.items()} for e in exprs]
+
+    @cached_property
+    def rows(self) -> list[dict]:
+        t, exact = self.template, self.table.exact
+        rows: list[dict] = [{} for _ in range(t.nrows)]
+        for r, i, code in zip(t.coo_rows, t.coo_cols, t.coo_codes):
+            rows[r][i] = exact[code]
+        return rows
+
+    @cached_property
+    def maxes(self) -> list[tuple[int, list[dict]]]:
+        return [(i, self._exact(terms)) for i, terms in self.template.maxes]
+
+    @cached_property
+    def preconditions(self) -> list[dict]:
+        return self._exact(self.template.preconditions)
+
+
+def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _LP:
+    """The LP of the annotation's homogeneous rule semantics at (alpha, c)."""
+    return _LP(_template(a, mode), _Table(alpha, cc))
+
+
+def _tight_point(lp: _LP, xs: list[Fraction]) -> dict[int, Fraction]:
     """The LP's point at the speedup parameters xs under the tight semantics
     the rules compute: each max variable at the max of its terms, and the
     margin at the least precondition.
@@ -156,7 +259,7 @@ def _tight_point(lp: _BuildAlgebra, xs: list[Fraction]) -> dict[int, Fraction]:
 # --- Exact certification of the float answer --------------------------------
 
 
-def _dual_bound(lp: _BuildAlgebra, support: list[int], w: list[Fraction]) -> Fraction | None:
+def _dual_bound(lp: _LP, support: list[int], w: list[Fraction]) -> Fraction | None:
     """Weak-duality bound from any exact multipliers w >= 0 on the rows:
     summing w_r * (row_r >= 0) gives q.v + bound >= 0, so if every variable
     coefficient q_i is <= 0 (and the free margin's is < 0) then
@@ -178,7 +281,7 @@ def _dual_bound(lp: _BuildAlgebra, support: list[int], w: list[Fraction]) -> Fra
     return bound / -q[_MARGIN]
 
 
-def _active_dual_bound(lp: _BuildAlgebra, x, duals) -> Fraction | None:
+def _active_dual_bound(lp: _LP, x, duals) -> Fraction | None:
     """Exact weak-duality upper bound on the margin, of any sign.  The
     multipliers solve the dual equations exactly on the float solution's
     active set: the rows with a nonzero dual times the tight columns (the
@@ -195,7 +298,7 @@ def _active_dual_bound(lp: _BuildAlgebra, x, duals) -> Fraction | None:
     return _dual_bound(lp, support, sol)
 
 
-def _exact_optimum(lp: _BuildAlgebra, start) -> simplex.Vertex | None:
+def _exact_optimum(lp: _LP, start) -> simplex.Vertex | None:
     """The exact LP optimum, by simplex.solve from the vertex of start (its
     tight rows and its columns at 0); None when start gives no feasible
     vertex."""
@@ -203,7 +306,7 @@ def _exact_optimum(lp: _BuildAlgebra, start) -> simplex.Vertex | None:
     return simplex.solve(objective, lp.rows, *start, free=(_MARGIN,))
 
 
-def _warm_start(lp: _BuildAlgebra, x, duals):
+def _warm_start(lp: _LP, x, duals):
     """The float solution's active set: the rows with a nonzero dual or a
     zero residual, and the columns it leaves at 0."""
     at_x = {_CONST: 1, **dict(enumerate(x))}
@@ -215,7 +318,7 @@ def _warm_start(lp: _BuildAlgebra, x, duals):
     return active, [i for i in range(1, lp.nvars) if x[i] <= _FLOAT_TOL]
 
 
-def _crash_start(lp: _BuildAlgebra):
+def _crash_start(lp: _LP):
     """The active set of the crash vertex, the tight point at every speedup
     parameter 0: each max variable at its largest term and the margin at the
     least precondition.  Every row holds there, and the active constraints
@@ -225,14 +328,14 @@ def _crash_start(lp: _BuildAlgebra):
     return [r for r, row in enumerate(lp.rows) if _value(row, v) == 0], lp.xvars
 
 
-def _witness(lp: _BuildAlgebra, x) -> tuple[list[Fraction], Fraction]:
+def _witness(lp: _LP, x) -> tuple[list[Fraction], Fraction]:
     """The float point x's speedup parameters as nearby simple rationals,
     and their margin at the tight point."""
     xs = [Fraction(float(x[i])).limit_denominator(10**12) for i in lp.xvars]
     return xs, _tight_point(lp, xs)[_MARGIN]
 
 
-def _decide(lp: _BuildAlgebra | None, sol) -> tuple[bool, Fraction | None, list[Fraction], str]:
+def _decide(lp: _LP | None, sol) -> tuple[bool, Fraction | None, list[Fraction], str]:
     """(feasible, margin, witness, method) of the LP, method "precondition"
     when there is none.  The float solution sol (x, row duals), or None,
     only picks which exact check decides and where the simplex starts."""
@@ -255,11 +358,15 @@ def _decide(lp: _BuildAlgebra | None, sol) -> tuple[bool, Fraction | None, list[
     return ok, vertex.value, [vertex.point[i] for i in lp.xvars] if ok else [], "vertex"
 
 
-def _lp_of(a, alpha, cc, mode) -> _BuildAlgebra | None:
-    """The annotation's LP, or None when its margin is <= 0 whatever the
-    parameters: a squiggle's precondition 1/alpha < c < (1+alpha)/alpha
-    fails, or a squiggle follows a speedup ('12'), where the block's a is 0:
-    the guard row gives margin <= -d, the speedup's row d >= margin."""
-    if "12" in a or ("2" in a and not _squiggle_window(alpha, cc)):
+def _lp_of(a: str, mode: str, table: _Table, templates: dict) -> _LP | None:
+    """The annotation's LP at the table's (alpha, c), or None when its margin
+    is <= 0 whatever the speedup parameters: a squiggle's precondition
+    1/alpha < c < (1+alpha)/alpha fails, or a squiggle follows a speedup
+    ('12'), where the block's a is 0: the guard row gives margin <= -d, the
+    speedup's row d >= margin.  templates maps annotations to their
+    templates; one missing is walked and added."""
+    if "12" in a or ("2" in a and not _squiggle_window(table.alpha, table.cc)):
         return None
-    return _build_lp(a, alpha, cc, mode)
+    if (template := templates.get(a)) is None:
+        template = templates[a] = _template(a, mode)
+    return _LP(template, table)

@@ -37,7 +37,7 @@ from scipy.sparse import csc_array
 
 from .analytics import _bisect, _midpoint
 from .kernel import TS_MODE, enumerate_annotations, validate_annotation
-from .lp import _FLOAT_TOL, _MARGIN, _BuildAlgebra, _decide, _lp_of, _witness
+from .lp import _FLOAT_TOL, _LP, _MARGIN, _decide, _lp_of, _Table, _witness
 from .proofs import _annotation_steps, _run_steps
 from .rules import (
     ProofCertificate,
@@ -66,7 +66,7 @@ _BATCH = 32
 # --- The float LPs ----------------------------------------------------------
 
 
-def _vertex_witness(lp: _BuildAlgebra, opt: Fraction) -> tuple[list[Fraction], Fraction] | None:
+def _vertex_witness(lp: _LP, opt: Fraction) -> tuple[list[Fraction], Fraction] | None:
     """The witness of a feasible vertex that is replayed, and its tight
     margin (lp._witness): the speedup parameters of one float re-solve that
     keeps margin >= opt/_WITNESS_FLOOR and minimizes the sum of the max
@@ -80,34 +80,37 @@ def _vertex_witness(lp: _BuildAlgebra, opt: Fraction) -> tuple[list[Fraction], F
     return _witness(lp, res.x) if res.status == 0 else None
 
 
-def _stacked(lps: list[_BuildAlgebra]):
+def _stacked(lps: list[_LP]):
     """(A_ub, b_ub, spans) of the block-diagonal float LP A_ub v <= b_ub with
     the LPs' rows as blocks; spans holds each LP's first column and row.
+    Each coefficient's float is read from its LP's table by code, into one
+    list for the whole batch.
 
     A_ub is sparse: dense, it would grow with the square of the batch (~26 MB
     for 145 LPs).  One LP gets a dense A_ub, which linprog takes without the
     sparse conversions (2.6 ms against 3.1 ms a solve, for 10110200)."""
-    rows, cols, vals, b_ub, spans = [], [], [], [], []
-    nvars = 0
+    rows, cols, vals, spans, sizes = [], [], [], [], []
+    nvars = nrows = 0
     for lp in lps:
-        r0 = len(b_ub)
-        spans.append((nvars, r0))
-        for r, row in enumerate(lp.rows):
-            b = 0.0
-            for i, coeff in row.items():
-                if i == _CONST:
-                    b = float(coeff)
-                else:
-                    rows.append(r0 + r)
-                    cols.append(nvars + i)
-                    vals.append(-float(coeff))
-            b_ub.append(b)
-        nvars += lp.nvars
-    a_ub = csc_array((vals, (rows, cols)), shape=(len(b_ub), nvars))
+        t = lp.template
+        spans.append((nvars, nrows))
+        sizes.append(len(t.coo_codes))
+        rows += t.coo_rows
+        cols += t.coo_cols
+        vals += map(lp.table.floats.__getitem__, t.coo_codes)
+        nvars += t.nvars
+        nrows += t.nrows
+    col0, row0 = (np.repeat(first, sizes) for first in zip(*spans))
+    rows, cols, vals = np.add(rows, row0), np.array(cols), np.array(vals)
+    const = cols == _CONST  # row >= 0 is -(the rest of the row) <= its constant
+    b_ub = np.zeros(nrows)
+    b_ub[rows[const]] = vals[const]
+    coeffs = ~const
+    a_ub = csc_array((-vals[coeffs], (rows[coeffs], (cols + col0)[coeffs])), shape=(nrows, nvars))
     return (a_ub.toarray() if len(lps) == 1 else a_ub), b_ub, spans
 
 
-def _solve_floats(lps: list[_BuildAlgebra]) -> list:
+def _solve_floats(lps: list[_LP]) -> list:
     """Float solution (x, row duals) of each LP, from one HiGHS solve of the
     block-diagonal LP that maximizes the sum of their margins; None for every
     block when that solve does not end optimal.
@@ -130,7 +133,7 @@ def _solve_floats(lps: list[_BuildAlgebra]) -> list:
         return [None] * len(lps)
     duals = res.ineqlin.marginals
     return [
-        (res.x[v0 : v0 + lp.nvars], duals[r0 : r0 + len(lp.rows)])
+        (res.x[v0 : v0 + lp.nvars], duals[r0 : r0 + lp.template.nrows])
         for lp, (v0, r0) in zip(lps, spans)
     ]
 
@@ -159,7 +162,7 @@ def _replay(a, alpha, cc, mode, xs, margin):
     witness replays the LP walk times d0, and d0 >= 2/(alpha*margin) keeps
     every strict precondition 2/alpha clear of its bound.  A larger d0 only
     scales the same chain of classes, so a witness that fails here fails the
-    tight semantics (the squiggle guard row, see lp._build_lp)."""
+    tight semantics (the squiggle guard row, see lp._template)."""
     d0 = Fraction(max(10**6, int(2 / (alpha * margin)) + 1))
     try:
         steps = _annotation_steps(a, mode, [x * d0 for x in xs])
@@ -169,10 +172,20 @@ def _replay(a, alpha, cc, mode, xs, margin):
     return (True, cert) if report.contradiction else (False, None)
 
 
-def _solve_batch(jobs) -> list[tuple]:
-    """(LP or None, float solution) of each (a, alpha, c, mode) job, from
-    one float solve of all the LPs."""
-    lps = [_lp_of(*job) for job in jobs]
+def _check_annotation(a: str, mode: str):
+    """Raise ValueError unless a is a valid complete annotation."""
+    report = validate_annotation(a, mode)
+    if not (report.valid and report.complete):
+        raise ValueError(f"annotation {a!r} is not a valid complete {mode} annotation")
+
+
+def _solve_batch(pairs, alpha, mode, templates) -> list[tuple]:
+    """(LP or None, float solution) of each (annotation, c) pair, from one
+    float solve of all the LPs.  Each LP is its annotation's template in
+    templates (walked there at its first use) read through one coefficient
+    table per c."""
+    tables = {cc: _Table(alpha, cc) for cc in dict.fromkeys(cc for _, cc in pairs)}
+    lps = [_lp_of(a, mode, tables[cc], templates) for a, cc in pairs]
     sols = iter(_solve_floats([lp for lp in lps if lp is not None]))
     return [(lp, None if lp is None else next(sols)) for lp in lps]
 
@@ -184,14 +197,15 @@ def feasible(
     positive answer through the exact rules (skipped when replay=False).
 
     _solved is this decision's (LP, float solution) from a batch
-    (_decide_batch); without it the decision is a batch of one."""
+    (_decide_batch), whose caller checked the annotation and parameters;
+    without it they are checked here and the decision is a batch of one."""
     alpha, cc = Fraction(alpha), Fraction(cc)
-    report = validate_annotation(a, mode)
-    if not (report.valid and report.complete):
-        raise ValueError(f"annotation {a!r} is not a valid complete {mode} annotation")
-    _check_params(alpha, cc=cc)
+    if _solved is None:
+        _check_annotation(a, mode)
+        _check_params(alpha, cc=cc)
+        _solved = _solve_batch([(a, cc)], alpha, mode, {})[0]
 
-    lp, sol = _solved or _solve_batch([(a, alpha, cc, mode)])[0]
+    lp, sol = _solved
     ok, margin, xs, method = _decide(lp, sol)
     replay_ok, cert = False, None
     if ok and replay:
@@ -202,10 +216,13 @@ def feasible(
     return Feasibility(a, alpha, cc, mode, ok, margin, xs, replay_ok, cert, method)
 
 
-def _decide_batch(jobs, replay):
-    """feasible(*job, replay=replay) of each job, all from one float solve."""
-    solved = _solve_batch(jobs)
-    return [feasible(*job, replay=replay, _solved=s) for job, s in zip(jobs, solved)]
+def _decide_batch(pairs, alpha, mode, replay):
+    """feasible(a, alpha, c, mode, replay=replay) of each (a, c) pair, all
+    from one float solve."""
+    solved = _solve_batch(pairs, alpha, mode, {})
+    return [
+        feasible(a, alpha, cc, mode, replay=replay, _solved=s) for (a, cc), s in zip(pairs, solved)
+    ]
 
 
 def _map_batches(fn, items, workers, *args) -> list:
@@ -259,7 +276,9 @@ def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
     A midpoint not solved yet solves the LPs of the path that follows if each
     live annotation is feasible below its _c_star_estimate: whole levels while
     they fit in _BATCH LPs, at least one.  Each decision reads its own LP's
-    float solution, so predictions change only the number of float solves."""
+    float solution, so predictions change only the number of float solves.
+    Each annotation is walked into its LP template once, at its first
+    solve, and read at every c it is solved at."""
     hi = (1 + alpha) / alpha
 
     def lo_of(a):
@@ -267,6 +286,7 @@ def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
         return base + Fraction(1, 1000)
 
     los = {a: lo_of(a) for a in annotations}
+    templates = {}  # annotation -> its LP template, walked once
     last = {}  # annotation -> its last feasible decision
     solved = {}  # (annotation, c) -> (LP or None, float solution), undecided
     margins = {a: {} for a in annotations}  # annotation -> {c: float margin}
@@ -277,9 +297,9 @@ def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
         if any(p not in solved for p in pairs):
             solved.clear()
             todo = path() if path else pairs
-            jobs = _solve_batch([(a, alpha, c, mode) for a, c in todo])
-            counts["float_solves"] += any(lp is not None for lp, _ in jobs)
-            for (a, c), (lp, sol) in zip(todo, jobs):
+            batch = _solve_batch(todo, alpha, mode, templates)
+            counts["float_solves"] += any(lp is not None for lp, _ in batch)
+            for (a, c), (lp, sol) in zip(todo, batch):
                 solved[a, c] = lp, sol
                 if sol is not None:
                     margins[a][c] = sol[0][_MARGIN]
@@ -334,6 +354,7 @@ def best_exponent(
     """Largest c (within tol) at which the annotation is feasible, by
     bisection; None if it is infeasible even near c = 1."""
     alpha, tol = Fraction(alpha), Fraction(tol)
+    _check_annotation(a, mode)
     _check_params(alpha, tol=tol)
     best = _bisect_max([a], alpha, tol, mode, Counter())
     return None if best is None else best[0]
@@ -427,6 +448,6 @@ def optimality_scan(
     max_len, in batches (see _map_batches); deterministic order."""
     alpha, cc = Fraction(alpha), Fraction(cc)
     _check_params(alpha, cc=cc)
-    jobs = [(a, alpha, cc, mode) for a in enumerate_annotations(max_len, mode)]
-    batches = _map_batches(_decide_batch, jobs, workers, True)
+    pairs = [(a, cc) for a in enumerate_annotations(max_len, mode)]
+    batches = _map_batches(_decide_batch, pairs, workers, alpha, mode, True)
     return ScanReport(alpha, cc, mode, max_len, [f for fs in batches for f in fs])

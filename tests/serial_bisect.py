@@ -31,7 +31,7 @@ def bisect_max(annotations, alpha, tol, mode):
     last = {}
 
     def feasible_of(pairs) -> list[str]:
-        fs = search._decide_batch([(a, alpha, c, mode) for a, c in pairs], False)
+        fs = search._decide_batch(list(pairs), alpha, mode, False)
         last.update((f.annotation, f) for f in fs if f.feasible)
         return [f.annotation for f in fs if f.feasible]
 

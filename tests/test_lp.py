@@ -1,0 +1,126 @@
+"""The LP template: one walk per annotation, read at each (alpha, c) through
+a coefficient table, against the Fraction walk of tests/lp_walk.py."""
+
+from fractions import Fraction
+
+import lp_walk
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from scipy.sparse import csc_array
+from test_search import lp_decisions
+
+from atlb import lp, search
+from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
+
+F = Fraction
+ALPHAS = (F(1), F(2, 3), F(4, 5), F(9, 10))
+_EPS = F(1, 10**6)
+
+
+def _grid(alpha):
+    """c values from just above 1 to just below (1+alpha)/alpha, with one
+    just inside each end of the squiggle's window (1/alpha, (1+alpha)/alpha)."""
+    hi = (1 + alpha) / alpha
+    return sorted({F(1001, 1000), 1 / alpha + _EPS, (1 / alpha + hi) / 2, F(3, 2), hi - _EPS} - {hi})
+
+
+def _typed(e: dict) -> list:
+    """The expression's entries in order, each coefficient with its type:
+    1 == Fraction(1), but the exact layer keeps c-free coefficients ints."""
+    return [(i, type(v), v) for i, v in e.items()]
+
+
+def _same_lp(got, want):
+    """got (a template instance) and want (the Fraction walk's LP) have the
+    same variables, rows, max terms and preconditions, in order, of the same
+    values and int/Fraction types."""
+    assert (got.nvars, got.xvars, got.template.nrows) == (want.nvars, want.xvars, len(want.rows))
+    assert [_typed(row) for row in got.rows] == [_typed(row) for row in want.rows]
+    assert [(i, [_typed(t) for t in terms]) for i, terms in got.maxes] == [
+        (i, [_typed(t) for t in terms]) for i, terms in want.maxes
+    ]
+    assert [_typed(e) for e in got.preconditions] == [_typed(e) for e in want.preconditions]
+
+
+def _bits(a):
+    """The exact bits of a float matrix, dense or sparse."""
+    if isinstance(a, np.ndarray):
+        return a.shape, a.tobytes()
+    a = csc_array(a)
+    a.sum_duplicates()
+    a.sort_indices()
+    return a.shape, a.data.tobytes(), a.indices.tolist(), a.indptr.tolist()
+
+
+def _same_stack(lps, oracle_lps):
+    """search._stacked of the LPs equals the Fraction walk's stacking bit for bit."""
+    a_ub, b_ub, spans = search._stacked(lps)
+    want_a, want_b, want_spans = lp_walk.stacked(oracle_lps)
+    assert spans == want_spans
+    assert _bits(a_ub) == _bits(want_a)
+    assert np.asarray(b_ub, dtype=float).tobytes() == np.asarray(want_b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("mode, max_len", [(TS_MODE, 9), (BPTS_MODE, 11)])
+@pytest.mark.parametrize("alpha", ALPHAS, ids=str)
+def test_template_instances_match_fraction_walk(mode, max_len, alpha):
+    # every annotation with an LP, walked once and read at each c of the
+    # grid: the same LP as the Fraction walk at that c, and the same float
+    # batches
+    templates: dict = {}
+    for cc in _grid(alpha):
+        table = lp._Table(alpha, cc)
+        pairs = []
+        for a in enumerate_annotations(max_len, mode):
+            got = lp._lp_of(a, mode, table, templates)
+            if got is None:
+                continue
+            want = lp_walk.build_lp(a, alpha, cc, mode)
+            _same_lp(got, want)
+            pairs.append((got, want))
+        assert pairs
+        for i in range(0, len(pairs), search._BATCH):
+            _same_stack(*zip(*pairs[i : i + search._BATCH]))
+    assert all("12" not in a for a in templates)
+
+
+@given(lp_decisions())
+@settings(max_examples=60, deadline=None)
+def test_built_lp_matches_fraction_walk(job):
+    got, want = lp._build_lp(*job), lp_walk.build_lp(*job)
+    _same_lp(got, want)
+    _same_stack([got], [want])
+
+
+def test_instance_shares_its_template():
+    # one walk serves every c: an instance holds its template, not a copy,
+    # and builds its exact rows only when they are read
+    templates: dict = {}
+    lps = [lp._lp_of("110020", TS_MODE, lp._Table(F(1), cc), templates) for cc in (F(3, 2), F(8, 5))]
+    assert list(templates) == ["110020"]
+    assert lps[0].template is lps[1].template is templates["110020"]
+    assert "rows" not in vars(lps[0])
+    assert lps[0].rows != lps[1].rows and "rows" in vars(lps[0])
+
+
+def test_table_codes():
+    # a code +-2^i 3^j 5^l stands for +-c^i (alpha c)^j rho^l; 0 and +-1 are ints
+    table = lp._Table(F(4, 5), F(3, 2))
+    ac = F(6, 5)
+    rho = ac / (ac - 1)
+    assert [table.exact[code] for code in (0, 1, -1)] == [0, 1, -1]
+    assert all(type(table.exact[code]) is int for code in (0, 1, -1))
+    assert table.exact[lp._C] == F(3, 2)
+    assert table.exact[-lp._AC] == -ac
+    assert table.exact[-(lp._AC**2)] == -(ac**2)
+    assert table.exact[lp._RHO * lp._C] == rho * F(3, 2)
+    assert table.floats[-lp._RHO] == float(-rho)
+
+
+def test_template_refuses_a_shared_variable():
+    # '12020' subtracts c*x from rho*x in its second squiggle's guard: no
+    # coefficient of one monomial, and no LP either ('12')
+    with pytest.raises(ValueError, match="no LP template for '12020'"):
+        lp._template("12020", TS_MODE)
+    assert lp._lp_of("12020", TS_MODE, lp._Table(F(1), F(3, 2)), {}) is None

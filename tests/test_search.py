@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import lp_walk
 import numpy as np
 import pytest
 import serial_bisect
@@ -61,6 +62,12 @@ def _oracle_margin(lp):
     return res.value if res.status == tableau.OPTIMAL else None
 
 
+def _solve_one(job):
+    """(LP, float solution) of one (annotation, alpha, c, mode) decision."""
+    a, alpha, cc, mode = job
+    return search._solve_batch([(a, cc)], alpha, mode, {})[0]
+
+
 def _lp_optimum(lp, shift=F(10)):
     """Exact maximal margin of the LP, of either sign.  The oracle clamps
     the margin to >= 0, so it is given the LP in margin + shift."""
@@ -105,14 +112,15 @@ class TestFeasible:
     @pytest.mark.parametrize("mode", [TS_MODE, BPTS_MODE])
     def test_squiggle_after_speedup_decided_without_lp(self, mode):
         # after a '1' the last block's a is 0: the guard row gives
-        # margin <= -d and the speedup's row d >= margin, so no LP is needed
+        # margin <= -d and the speedup's row d >= margin, so no LP is needed.
+        # The Fraction walk builds the LP that lp._template refuses
         anns = [a for a in enumerate_annotations(7, mode) if "12" in a]
         assert len(anns) == {TS_MODE: 30, BPTS_MODE: 5}[mode]
         for a in anns:
             for alpha, cc in ((F(1), F(3, 2)), (F(2, 3), F(2))):
                 f = feasible(a, alpha, cc, mode)
                 assert (f.feasible, f.method, f.margin) == (False, "precondition", None), a
-                margin = _oracle_margin(_build_lp(a, alpha, cc, mode))
+                margin = _oracle_margin(lp_walk.build_lp(a, alpha, cc, mode))
                 assert margin is None or margin <= 0, (a, alpha, cc)
 
     def test_replay_skippable(self):
@@ -124,6 +132,25 @@ class TestFeasible:
             feasible("10", F(1), F(7, 5))
         with pytest.raises(ValueError):
             feasible("100", F(1), F(1, 2))
+
+    @pytest.mark.parametrize("a", ["0", "10", "13"])
+    def test_invalid_annotation_message(self, a):
+        # checked before any LP walk: "0" and "13" fail the height trace, "10"
+        # does not return to height 0
+        message = f"annotation {a!r} is not a valid complete ts annotation"
+        for decide in (lambda: feasible(a, F(1), F(7, 5)), lambda: best_exponent(a, F(1))):
+            with pytest.raises(ValueError) as exc:
+                decide()
+            assert str(exc.value) == message
+
+    def test_batched_decisions_validate_nothing(self, monkeypatch):
+        # a scan's annotations come from the enumeration and its parameters
+        # were checked once: its batched decisions check neither again
+        monkeypatch.setattr(search, "validate_annotation", lambda *args: pytest.fail("validated"))
+        monkeypatch.setattr(search, "_check_params", lambda *args, **kwargs: None)
+        decided = _record_decisions(monkeypatch)
+        report = optimality_scan(F(1), F(3, 2), 8)
+        assert len(decided) == report.total == 145
 
     def test_exact_simplex_agrees_with_float_path(self):
         for a in ("100", "1020", "1200", "10100"):
@@ -149,7 +176,7 @@ class TestFeasible:
         # HiGHS's active set is the optimal vertex: no pivot.  The crash
         # vertex is feasible but not optimal: a few pivots to the same optimum
         job = ("10102100", F(1), F(8, 5), TS_MODE)
-        lp, (x, duals) = search._solve_batch([job])[0]
+        lp, (x, duals) = _solve_one(job)
         warm = _exact_optimum(lp, _warm_start(lp, x, duals))
         cold = _exact_optimum(lp, _crash_start(lp))
         assert (warm.value, warm.pivots) == (F(881, 9425), 0)
@@ -311,7 +338,7 @@ def test_active_vertex_is_lp_optimum(job):
     # it (warm) and from the crash vertex (cold) reaches the tableau
     # oracle's optimum, what a "vertex" decision reports.  Its multipliers
     # bound the margin at exactly that optimum
-    lp, (x, duals) = search._solve_batch([job])[0]
+    lp, (x, duals) = _solve_one(job)
     optimum = _lp_optimum(lp, shift=F(math.ceil(max(0.0, -x[_MARGIN]))) + 1)
     for start in (_warm_start(lp, x, duals), _crash_start(lp)):
         vertex = _exact_optimum(lp, start)
@@ -342,7 +369,7 @@ def test_crash_point_is_a_vertex(job):
     # the tight point at every speedup parameter 0 satisfies every row and
     # bound exactly, and its active constraints (tight rows, bounds of the
     # columns at 0) have rank nvars: the exact simplex's cold start
-    lp = search._lp_of(*job)
+    lp = _build_lp(*job)
     v = _tight_point(lp, [0] * len(lp.xvars))
     assert all(simplex._value(row, v) >= 0 for row in lp.rows)
     assert all(v[i] >= 0 for i in range(1, lp.nvars))
@@ -357,7 +384,7 @@ def test_tight_point_with_positive_margin_is_lp_feasible(job):
     # the tight point of the float solve's rounded witness: with a positive
     # margin it satisfies every LP row exactly, so that margin is at most the
     # LP optimum, and a "float+primal" verdict is sound
-    lp, (x, _) = search._solve_batch([job])[0]
+    lp, (x, _) = _solve_one(job)
     v = _tight_point(lp, _witness(lp, x)[0])
     if v[_MARGIN] > 0:
         assert all(simplex._value(row, v) >= 0 for row in lp.rows)
@@ -369,7 +396,7 @@ def steered_lps(draw):
     """(LP, float solution) of a small ts or bpts LP: HiGHS's own solution,
     it with noise on x, with its duals zeroed or scaled, random finite
     vectors, or None."""
-    lp, sol = search._solve_batch([draw(lp_decisions())])[0]
+    lp, sol = _solve_one(draw(lp_decisions()))
     x, duals = sol
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     steer = draw(st.sampled_from(["highs", "noise", "zero duals", "scaled duals", "random", "none"]))
@@ -1080,6 +1107,41 @@ def test_failed_float_solves_keep_search_answer(monkeypatch):
     assert got.decisions == want.decisions
     assert {f.method for f in decided} <= {"vertex", "precondition"}
     assert len(starts) >= sum(f.method == "vertex" for f in decided) > 0
+
+
+def _count_walks(monkeypatch) -> list:
+    """Each annotation lp._template walks from now on, in order."""
+    walked, template = [], atlb.lp._template
+    monkeypatch.setattr(atlb.lp, "_template", lambda a, mode: walked.append(a) or template(a, mode))
+    return walked
+
+
+def test_search_walks_each_annotation_once_per_batch(monkeypatch):
+    # _bisect_max walks each annotation at its first solve and reads the
+    # template at every c after: 55 annotations in two batches, ~4 LPs each
+    walked = _count_walks(monkeypatch)
+    batches, bisect_max = [], search._bisect_max
+
+    def recorded(annotations, *args):
+        start = len(walked)
+        answer = bisect_max(annotations, *args)
+        batches.append((annotations, walked[start:]))
+        return answer
+
+    monkeypatch.setattr(search, "_bisect_max", recorded)
+    res = search_best(7, F(1))
+    assert len(batches) == 2
+    for annotations, batch_walks in batches:
+        assert len(set(batch_walks)) == len(batch_walks)
+        assert set(batch_walks) <= {a for a in annotations if "12" not in a}
+    assert res.decisions > 2 * len(walked)
+
+
+def test_scan_walks_each_lp_annotation_once(monkeypatch):
+    walked = _count_walks(monkeypatch)
+    report = optimality_scan(F(1), F(3, 2), 8)
+    assert sorted(walked) == sorted(e.annotation for e in report.entries if "12" not in e.annotation)
+    assert len(walked) == sum(e.method != "precondition" for e in report.entries)
 
 
 def test_search_counts_independent_of_workers():
