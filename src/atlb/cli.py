@@ -256,8 +256,9 @@ def _cmd_grover(args) -> int:
         print(f"closed form    {closed:.12f}")
         print(f"simulated      {simulated:.12f}")
     else:
+        success = random_iteration_success(inst)  # n >= 2: check before printing
         print(f"n={args.n} marked={args.marked}")
-        print(f"random-iteration success {random_iteration_success(inst):.12f}")
+        print(f"random-iteration success {success:.12f}")
     return EXIT_OK
 
 

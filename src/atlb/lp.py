@@ -12,14 +12,17 @@ coefficient is +-1 times a monomial in c, alpha*c and the squiggle guard's
 ratio rho = alpha*c/(alpha*c - 1).  _template walks the annotation once
 into an LP whose coefficients are int codes for these monomials; _LP reads
 that template at one (alpha, c) through a _Table of the codes' values,
-exact and float, so an annotation decided at many c is walked once.
+exact and float, so an annotation decided at many c is walked once.  The
+template is the one record of the LP: _LP's exact rows are built from it,
+and the tight point reads its coded terms through the table.
 
 Everything here is exact.  _decide, the one place where the certification
 order lives, decides the LP from its float solution (x, row duals), which
 only steers.  A feasible answer is certified by the exact margin of its
 rounded witness at the LP's tight point (each max variable at the max of
 its terms; method "float+primal"), an infeasible one by exact weak-duality
-multipliers solved on the float solution's active set ("float+dual").
+multipliers solved on the float solution's active set ("float+dual"), which
+_dual_bound, the one weak-duality check, accepts.
 When neither certifies, the exact simplex (simplex.solve) decides, with the
 exact LP optimum of either sign ("vertex").  It starts warm, at the vertex
 of the float solution's active set, and pivots on from there when that
@@ -206,18 +209,15 @@ class _Table:
 
 
 class _LP:
-    """The template's LP at the table's (alpha, c): its rows, max terms and
-    preconditions in the template's order, each list built exact from the
-    table when it is first read (search stacks the floats from the template
-    and the table, and a "float+primal" verdict reads no row)."""
+    """The template's LP at the table's (alpha, c).  Its one exact view is
+    its rows, in the template's order, built from the table when first read
+    (search stacks the floats from the template and the table, and a
+    "float+primal" verdict reads no row); the tight point reads the
+    template's coded max terms and preconditions through the table."""
 
     def __init__(self, template: _Template, table: _Table):
         self.template, self.table = template, table
         self.nvars, self.xvars = template.nvars, template.xvars
-
-    def _exact(self, exprs: list[dict]) -> list[dict]:
-        exact = self.table.exact
-        return [{i: exact[code] for i, code in e.items()} for e in exprs]
 
     @cached_property
     def rows(self) -> list[dict]:
@@ -226,14 +226,6 @@ class _LP:
         for r, i, code in zip(t.coo_rows, t.coo_cols, t.coo_codes):
             rows[r][i] = exact[code]
         return rows
-
-    @cached_property
-    def maxes(self) -> list[tuple[int, list[dict]]]:
-        return [(i, self._exact(terms)) for i, terms in self.template.maxes]
-
-    @cached_property
-    def preconditions(self) -> list[dict]:
-        return self._exact(self.template.preconditions)
 
 
 def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _LP:
@@ -249,10 +241,11 @@ def _tight_point(lp: _LP, xs: list[Fraction]) -> dict[int, Fraction]:
     The LP drops a max's zero terms, so where a term is negative the margin
     may differ from the rules' in value, but not in sign; a positive margin
     is the rules' own, and the point then satisfies every row."""
+    t, exact = lp.template, lp.table.exact
     v = {_CONST: 1, **dict(zip(lp.xvars, xs))}
-    for i, terms in lp.maxes:
-        v[i] = max(_value(t, v) for t in terms)
-    v[_MARGIN] = min(_value(e, v) for e in lp.preconditions)
+    for i, terms in t.maxes:
+        v[i] = max(_value(term, v, exact) for term in terms)
+    v[_MARGIN] = min(_value(e, v, exact) for e in t.preconditions)
     return v
 
 
@@ -260,13 +253,16 @@ def _tight_point(lp: _LP, xs: list[Fraction]) -> dict[int, Fraction]:
 
 
 def _dual_bound(lp: _LP, support: list[int], w: list[Fraction]) -> Fraction | None:
-    """Weak-duality bound from any exact multipliers w >= 0 on the rows:
-    summing w_r * (row_r >= 0) gives q.v + bound >= 0, so if every variable
-    coefficient q_i is <= 0 (and the free margin's is < 0) then
-    margin <= bound / (-q_margin), whatever its sign."""
+    """Weak-duality bound on the margin from exact multipliers w on the rows
+    support, else None.  With every w_r >= 0, summing w_r * (row_r >= 0)
+    gives q.v + bound >= 0; with every variable coefficient q_i <= 0 and the
+    free margin's < 0, margin <= bound / (-q_margin), whatever its sign.  It
+    checks all three conditions, so any w may be given."""
     q: dict[int, Fraction] = {}
     bound = 0
     for r, wr in zip(support, w):
+        if wr < 0:
+            return None
         if not wr:
             continue
         for i, coeff in lp.rows[r].items():
@@ -282,10 +278,11 @@ def _dual_bound(lp: _LP, support: list[int], w: list[Fraction]) -> Fraction | No
 
 
 def _active_dual_bound(lp: _LP, x, duals) -> Fraction | None:
-    """Exact weak-duality upper bound on the margin, of any sign.  The
-    multipliers solve the dual equations exactly on the float solution's
+    """Exact weak-duality upper bound on the margin, of any sign, or None.
+    The multipliers solve the dual equations exactly on the float solution's
     active set: the rows with a nonzero dual times the tight columns (the
-    margin and those the float solution puts above 0)."""
+    margin and those the float solution puts above 0); _dual_bound checks
+    them."""
     support = [r for r, v in enumerate(duals) if v < -_DUAL_TOL]
     if not support:
         return None
@@ -293,9 +290,7 @@ def _active_dual_bound(lp: _LP, x, duals) -> Fraction | None:
     a_rows = [[lp.rows[r].get(i, 0) for r in support] for i in tight]
     b = [-1] + [0] * (len(tight) - 1)
     sol = _solve_rational(a_rows, b)
-    if sol is None or any(v < 0 for v in sol):
-        return None
-    return _dual_bound(lp, support, sol)
+    return None if sol is None else _dual_bound(lp, support, sol)
 
 
 def _exact_optimum(lp: _LP, start) -> simplex.Vertex | None:

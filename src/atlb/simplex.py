@@ -22,15 +22,16 @@ from fractions import Fraction
 CONST = -1
 
 
-def _value(e: dict, v) -> Fraction:
+def _value(e: dict, v, table=None) -> Fraction:
     """The linear expression e (a row, a max term or a precondition) at the
-    point v, whose v[CONST] is 1: exact, or float for a float v.  Unit
-    coefficients skip the multiply, and the sum starts at the first term, not
-    at an int 0: a tight point costs about a third less than with a plain
-    multiply-and-add loop."""
+    point v, whose v[CONST] is 1: exact, or float for a float v.  Given a
+    table, e's coefficients are codes and a code other than +-1 stands for
+    table[code].  Unit coefficients skip the multiply, and the sum starts at
+    the first term, not at an int 0: a tight point costs about a third less
+    than with a plain multiply-and-add loop."""
     s = None
     for i, coeff in e.items():
-        t = v[i] if coeff == 1 else -v[i] if coeff == -1 else coeff * v[i]
+        t = v[i] if coeff == 1 else -v[i] if coeff == -1 else (coeff if table is None else table[coeff]) * v[i]
         s = t if s is None else s + t
     return s
 

@@ -28,6 +28,14 @@ class 2: E(a=1,b=1) TS d=301/300
 """
 
 
+_HEAD = "alpha 1   c 3/2   mode ts   assumption ntime"
+_CLASS0 = "class 0: E(a=1,b=1) TS d=2"
+
+
+def _cert(*lines):
+    return "\n".join(["atlb-proof v1", *lines]) + "\n"
+
+
 class TestVerify:
     def test_contradiction_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "proof.txt"
@@ -84,6 +92,14 @@ class TestVerify:
         p.write_text(LONG_SQUIGGLES)
         assert run(["verify", str(p)]) == EXIT_OK
         assert "valid: contradiction at c=301/300" in capsys.readouterr().out
+
+    def test_one_step_back_below_the_start_exit_ten(self, tmp_path, capsys):
+        # the squiggle alone leads from the start's shape to a smaller d, but a
+        # contradiction takes at least two steps
+        p = tmp_path / "proof.txt"
+        p.write_text(_cert(_HEAD, _CLASS0, "step 1: squiggle", "class 1: E(a=1,b=1) TS d=3/2"))
+        assert run(["verify", str(p)]) == EXIT_NO_CONTRADICTION
+        assert "valid: no contradiction (final exponent 3/2 vs initial 2)" in capsys.readouterr().out
 
     def test_squiggle_past_iteration_cap_exit_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(rules, "SQUIGGLE_ITERATION_CAP", 100)
@@ -179,6 +195,105 @@ class TestUsageErrors:
         assert run(args) == EXIT_USAGE
         assert f"usage error: {missing} is required" in capsys.readouterr().err
         assert not (tmp_path / "p.txt").exists()
+
+
+# Each documented exit code's failing branches, one row each: (arguments,
+# the text of the file that {file} names, or None, and the message printed).
+_VERIFY = ["verify", "{file}"]
+_EXIT_ONE = {
+    "no-header": (_VERIFY, f"{_HEAD}\n{_CLASS0}\n", "missing header line"),
+    "truncated": (_VERIFY, _cert(_HEAD), "truncated certificate"),
+    "parameter-line": (_VERIFY, _cert("alpha 1   c 3/2   mode ts", _CLASS0), "bad parameter line"),
+    "parameter-rational": (
+        _VERIFY,
+        _cert("alpha one   c 3/2   mode ts   assumption ntime", _CLASS0),
+        "not a rational: 'one'",
+    ),
+    "class-index": (_VERIFY, _cert(_HEAD, "class 1: TS d=2"), "line 3: expected class 0, got 1"),
+    "class-without-step": (
+        _VERIFY,
+        _cert(_HEAD, _CLASS0, "class 1: TS d=2"),
+        "line 4: class 1 not preceded by step 1",
+    ),
+    "class-syntax": (_VERIFY, _cert(_HEAD, "class 0: E(a=1) TS d=2"), "line 3: syntax error"),
+    "class-header": (_VERIFY, _cert(_HEAD, "class zero: TS d=2"), "line 3: bad class header"),
+    "step-order": (_VERIFY, _cert(_HEAD, _CLASS0, "step 2: squiggle"), "line 4: step 2 out of order"),
+    "step-empty": (_VERIFY, _cert(_HEAD, _CLASS0, "step 1:"), "line 4: empty step"),
+    "step-rational": (_VERIFY, _cert(_HEAD, _CLASS0, "step 1: speedup x=one"), "line 4: not a rational"),
+    "step-syntax": (_VERIFY, _cert(_HEAD, _CLASS0, "step 1: squiggle twice"), "line 4: bad step syntax"),
+    "step-rule": (_VERIFY, _cert(_HEAD, _CLASS0, "step 1: jump"), "line 4: unknown rule 'jump'"),
+    "stray-line": (_VERIFY, _cert(_HEAD, _CLASS0, "qed"), "line 4: expected 'class i:' or 'step i:'"),
+    "step-without-class": (
+        _VERIFY,
+        _cert(_HEAD, _CLASS0, "step 1: squiggle"),
+        "1 classes do not match 1 steps",
+    ),
+    "mode": (
+        _VERIFY,
+        _cert("alpha 1   c 3/2   mode xx   assumption ntime", _CLASS0),
+        "unknown mode 'xx'",
+    ),
+    "assumption": (
+        _VERIFY,
+        _cert("alpha 1   c 3/2   mode ts   assumption p", _CLASS0),
+        "unknown assumption 'p'",
+    ),
+    "range": (
+        _VERIFY,
+        _cert("alpha 1   c 1   mode ts   assumption ntime", _CLASS0),
+        "invalid proof at line 0: parameter range",
+    ),
+    "initial-verifier": (
+        _VERIFY,
+        _cert("alpha 1   c 3/2   mode bpts   assumption ebp", _CLASS0),
+        "invalid proof at line 0: initial class verifier TS does not match mode bpts",
+    ),
+    "search-none-feasible": (
+        ["search", "--alpha", "1", "--mode", "bpts", "--max-len", "3"],
+        None,
+        "no feasible annotation found",
+    ),
+}
+
+_EXIT_TWO = {
+    "not-an-integer": (["grover", "--n", "x", "--marked", "1"], None, "not an integer: 'x'"),
+    "not-positive": (["grover", "--n", "0", "--marked", "1"], None, "must be >= 1: 0"),
+    "config-not-an-integer": (
+        ["--config", "{file}", "search", "--alpha", "1"],
+        "max_len=x\n",
+        "usage error: not an integer: 'x'",
+    ),
+    "config-without-equals": (
+        ["--config", "{file}", "search", "--alpha", "1"],
+        "max_len 3\n",
+        "expected key=value, got 'max_len 3'",
+    ),
+}
+
+
+def _run_with_file(args, text, tmp_path):
+    """The exit code of atlb with args, {file} naming a file holding text."""
+    p = tmp_path / "input.txt"
+    if text is not None:
+        p.write_text(text)
+    args = [str(p) if a == "{file}" else a for a in args]
+    try:
+        return run(args)
+    except SystemExit as exc:  # argparse's own usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("args, text, message", list(_EXIT_ONE.values()), ids=list(_EXIT_ONE))
+def test_exit_one(args, text, message, tmp_path, capsys):
+    assert _run_with_file(args, text, tmp_path) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+
+
+@pytest.mark.parametrize("args, text, message", list(_EXIT_TWO.values()), ids=list(_EXIT_TWO))
+def test_exit_two(args, text, message, tmp_path, capsys):
+    assert _run_with_file(args, text, tmp_path) == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 class TestConfigSuppliesFlags:
@@ -353,6 +468,13 @@ class TestGrover:
     def test_random_iterations(self, capsys):
         assert run(["grover", "--n", "4", "--marked", "1"]) == EXIT_OK
         assert "0.625000000000" in capsys.readouterr().out
+
+    def test_random_iterations_need_two_items(self, capsys):
+        # the usage error comes before any output
+        assert run(["grover", "--n", "1", "--marked", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: need n >= 2" in captured.err
 
 
 def test_console_script_installed():

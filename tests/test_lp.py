@@ -34,13 +34,19 @@ def _typed(e: dict) -> list:
 def _same_lp(got, want):
     """got (a template instance) and want (the Fraction walk's LP) have the
     same variables, rows, max terms and preconditions, in order, of the same
-    values and int/Fraction types."""
+    values and int/Fraction types; got's max terms and preconditions are the
+    template's codes read through the instance's table."""
+    exact = got.table.exact
+
+    def read(e):
+        return _typed({i: exact[code] for i, code in e.items()})
+
     assert (got.nvars, got.xvars, got.template.nrows) == (want.nvars, want.xvars, len(want.rows))
     assert [_typed(row) for row in got.rows] == [_typed(row) for row in want.rows]
-    assert [(i, [_typed(t) for t in terms]) for i, terms in got.maxes] == [
+    assert [(i, [read(t) for t in terms]) for i, terms in got.template.maxes] == [
         (i, [_typed(t) for t in terms]) for i, terms in want.maxes
     ]
-    assert [_typed(e) for e in got.preconditions] == [_typed(e) for e in want.preconditions]
+    assert [read(e) for e in got.template.preconditions] == [_typed(e) for e in want.preconditions]
 
 
 def _bits(a):

@@ -337,6 +337,26 @@ class TestVerifyProof:
         assert report.valid and not report.contradiction
         assert back.d <= start.d  # the shape alone would have matched
 
+    # the last class matches the first when it has the same verifier and
+    # block kinds, and each of its a, b and d is at most the first's
+    @pytest.mark.parametrize(
+        "last, matches",
+        [
+            ("A(a=1,b=2) E(a=1,b=1) TS d=3/2", True),
+            ("A(a=1/2,b=1) E(a=0,b=1) TS d=2", True),
+            ("A(a=2,b=2) E(a=1,b=1) TS d=3/2", False),
+            ("A(a=1,b=2) E(a=1,b=2) TS d=3/2", False),
+            ("A(a=1,b=2) E(a=1,b=1) BPTS d=3/2", False),
+            ("A(a=1,b=2) E(a=1,b=1) TS d=3", False),
+            ("E(a=1,b=2) A(a=1,b=1) TS d=3/2", False),
+            ("E(a=1,b=1) TS d=3/2", False),
+        ],
+        ids=["smaller-d", "smaller-a-b", "larger-a", "larger-b", "verifier", "larger-d", "kind", "blocks"],
+    )
+    def test_contradiction_shape(self, last, matches):
+        first = parse_class("A(a=1,b=2) E(a=1,b=1) TS d=2")
+        assert rules._matches_contradiction(first, parse_class(last)) is matches
+
     def test_squiggle_report(self):
         c0 = parse_class("A(a=0,b=1) E(a=1,b=1) TS d=2")
         out, _, _ = squiggle(c0, F(1), F(3, 2))

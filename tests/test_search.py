@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import lp_walk
 import numpy as np
@@ -309,7 +310,8 @@ class TestFeasible:
         f = feasible(a, F(1), cc, mode)
         assert f.feasible and f.replay_ok
         lp = _build_lp(a, F(1), cc, mode)
-        final_d = 1 - simplex._value(lp.preconditions[-1], _tight_point(lp, f.witness))
+        final = lp.template.preconditions[-1]
+        final_d = 1 - simplex._value(final, _tight_point(lp, f.witness), lp.table.exact)
         classes = f.certificate.classes
         assert classes[-1].d == classes[0].d * final_d
 
@@ -345,6 +347,23 @@ def test_active_vertex_is_lp_optimum(job):
         assert vertex is not None
         assert vertex.value == optimum == vertex.point[_MARGIN]
         assert _dual_bound(lp, list(vertex.duals), list(vertex.duals.values())) == optimum
+
+
+class TestDualBound:
+    def test_negative_multiplier_is_no_bound(self):
+        # w sums rows 0, 3, 4 and 5 of 100's LP to q = -margin with bound 0,
+        # a "no" for a feasible LP, but w_5 < 0: weak duality does not hold
+        lp = _build_lp("100", F(1), F(7, 5), TS_MODE)
+        support, w = [0, 3, 4, 5], [F(1), F(5, 2), F(25, 14), F(-25, 14)]
+        q = {i: sum(wr * lp.rows[r].get(i, 0) for r, wr in zip(support, w)) for i in (_CONST, *range(lp.nvars))}
+        assert q == {_CONST: 0, _MARGIN: -1, 1: 0, 2: 0, 3: 0}
+        assert feasible("100", F(1), F(7, 5)).feasible
+        assert _dual_bound(lp, support, w) is None
+
+    def test_multipliers_without_the_margin_are_no_bound(self):
+        # 1 - v_1 >= 0 gives q_1 = -1 <= 0 but says nothing of the margin
+        lp = SimpleNamespace(rows=[{_CONST: 1, 1: -1}])
+        assert _dual_bound(lp, [0], [F(1)]) is None
 
 
 def _rank(vectors):

@@ -75,6 +75,9 @@ class TestSolve:
         assert simplex.solve([F(3), F(2)], ROWS_3X_2Y, [1], [1]) is None
         assert simplex.solve([F(3), F(2)], ROWS_3X_2Y, [0, 1], [0]) is None
         assert simplex.solve([F(3), F(2)], ROWS_3X_2Y, [], [1], free=(0,)) is None
+        # x + y = 4 and y - x = 6 meet at (-1, 5), where every row holds
+        # but x < 0
+        assert simplex.solve([F(3), F(2)], [ROWS_3X_2Y[0], _le([-1, 1], 6)], [0, 1], []) is None
         # a bounded column left open is set to 0, as at the origin
         assert simplex.solve([F(3), F(2)], ROWS_3X_2Y, [], [1]).value == 12
 
