@@ -15,10 +15,12 @@ writes to OUT, one line each:
   and whether its certificate verifies to a contradiction;
 - best_exponent's bisection (tol 1e-7) of each of the 170 ts annotations
   of length <= 10 without '12' or '22' at alpha = 1: annotation, c*, its
-  decisions per method, and a sha256 over its ordered (c, verdict)
-  decisions.  A decision's method may change with the float solve it
+  exact decisions per method, and a sha256 over its ordered (c, verdict)
+  exact decisions.  A decision's method may change with the float solve it
   shares with others, its verdict may not, so two trees' bisections can be
-  compared verdict by verdict where their method counts differ;
+  compared verdict by verdict where their method counts differ.  Float
+  verdicts steer the bisection and are not recorded: its exact decisions
+  are each annotation's "no" where it leaves and the winner's last "yes";
 - the named proofs: good_proof_best_c(alpha, k) at alpha in {1, 2/3} and
   k in {2, 5, 10}, and whether bpts_proof(40, c) and bpts_grover_proof(c)
   verify to a contradiction at c in {7/5, 3/2}; and bpts_grover_proof at
@@ -33,8 +35,9 @@ writes to OUT, one line each:
   verdict with a float solution) and a cold start for each warm point that
   is no feasible vertex or missing float solution (in the sweep, 106 warm
   starts and no cold one).  A bisection's float solve takes the LPs of the
-  path its float margins predict: the searches make 132 HiGHS calls and
-  the bisections 887 (528 and 4,288 at one float solve per midpoint);
+  path its float margins predict, and its first one takes each annotation
+  at both ends of the bracket: the searches make 114 HiGHS calls and the
+  bisections 845 (528 and 4,288 at one float solve per midpoint);
 - with them, walks= the LP templates walked (lp._template) and lps= the
   LPs read from them (lp._LP) in each part: a scan walks each annotation
   with an LP once, a bisection each of its annotations once, and every

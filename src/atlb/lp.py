@@ -33,6 +33,29 @@ parameters; search.feasible, when it replays, takes those of one float
 re-solve toward the tight maxima instead if their tight margin is positive.
 Neither numpy nor scipy is imported, so a "no" rests on this module and
 simplex alone.
+
+Feasibility is monotone in c, which lets search's bisections certify each
+annotation only at its ends.  Let opt(c) be the LP's optimal margin, and
+c0 < c1 two values where the LP exists.
+
+- Lemma (ts).  A point with margin m > 0 at c1 has margin m at c0, so
+  opt(c1) > 0 implies opt(c0) >= opt(c1).  Each coefficient that depends
+  on c sits in one of two kinds of row.  In a max row v >= k(c) * t, k is
+  c or alpha*c times a positive constant, and t is a variable or a d that
+  the preconditions keep >= m > 0: the row weakens as c falls.  In the
+  squiggle guard rho*a - d >= margin, rho = alpha*c/(alpha*c - 1) grows as
+  c falls and multiplies a >= 0.  In ts every slowdown's max has a second
+  nonzero term besides its lead, so max_of gives each c-scaled term a max
+  variable, and no c-dependent coefficient reaches a precondition.
+- Conjecture (bpts).  The same point can fail.  A slowdown that pops the
+  input block has its lead alpha*c*d as its only nonzero term, so max_of
+  returns that expression itself, and the next speedup's row
+  alpha*c*d - x >= margin tightens as c falls.  Scaling every variable
+  after each of the k interior returns to height 0 by c0/c1 suggests
+  opt(c0) >= (c0/c1)^k * opt(c1) > 0 whenever opt(c1) > 0.
+
+The tests pin both at exact optima: in ts opt(c0) >= opt(c1), of either
+sign, and in both modes opt(c1) > 0 implies opt(c0) > 0.
 """
 
 from __future__ import annotations

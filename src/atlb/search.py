@@ -15,13 +15,15 @@ those of each block.  Scans and searches cut their annotations into fixed
 batches; a process pool spreads whole batches, so the number of workers
 changes no answer.  Bisection over c (best_exponent, search_best) bisects
 one bracket per batch for the largest best exponent of its annotations: each
-midpoint decides, without replay, the annotations still level with the
-best, and drops those that fall behind.  One float solve takes the LPs of
-the stretch of bisection path that the float margins predict (each c*
-interpolated from HiGHS's margins); a wrong prediction wastes only float
-LPs, as each decision is certified exactly from its own LP's float
-solution.  search_best replays only the winner's last feasible witness, and
-decides the winner again if the rules reject it.
+midpoint judges the annotations still level with the best, and drops those
+that fall behind.  Float margins steer the path: as feasibility is monotone
+in c (the lemma in lp), an annotation is decided exactly, without replay,
+only where it leaves, and the winner at its last "yes", so the searches
+count exact decisions only.  One float solve takes the LPs of the stretch of
+bisection path that the float margins predict (each c* interpolated from
+HiGHS's margins); a wrong prediction wastes only float LPs.  search_best
+replays only the winner's last feasible witness, and decides the winner
+again if the rules reject it.
 """
 
 from __future__ import annotations
@@ -259,13 +261,18 @@ def _c_star_estimate(margins: dict) -> float:
     return float(c0) + float(c1 - c0) * margins[c0] / (margins[c0] - margins[c1])
 
 
+class _Steered(Exception):
+    """An exact decision contradicts the float verdict that steered a
+    bisection."""
+
+
 def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
     """(c*, annotation, the Feasibility at its last feasible c) of the
     annotation with the largest c*, the first in order among ties; None when
-    each is infeasible near c = 1.  counts gains the decisions made and the
-    float solves.
+    each is infeasible near c = 1.  counts gains the exact decisions made,
+    the float solves and any fallback to exact verdicts.
 
-    Each annotation is decided at its own lo, and the live (feasible) ones at
+    Each annotation is judged at its own lo, and the live (feasible) ones at
     hi.  Then one bracket, from the lo of an annotation without '2' to hi, is
     bisected with the predicate "some live annotation is ahead at c": feasible
     there, or with lo >= c.  A true midpoint keeps only the annotations ahead,
@@ -273,12 +280,23 @@ def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
     best_exponent is exactly c*.  Decides without replay, so a caller that
     wants a certificate replays.
 
+    A verdict is its float margin's sign where that margin is clear of 0 by
+    _FLOAT_TOL, else an exact decision.  Feasibility being monotone in c (see
+    lp), an exact "yes" below and "no" above make every steered verdict
+    between them exact.  So each annotation is decided exactly only where it
+    leaves (at its lo, at the midpoint where it falls behind, or at the final
+    hi), and the winner also at its largest feasible c, and the path, c*,
+    winner and tie order are those of exact decisions at every midpoint.  An
+    exact decision against the float verdict that steered, or a float "yes"
+    at hi, sends the batch to a second bisection with every verdict exact;
+    that one raises BracketError.
+
     A midpoint not solved yet solves the LPs of the path that follows if each
     live annotation is feasible below its _c_star_estimate: whole levels while
-    they fit in _BATCH LPs, at least one.  Each decision reads its own LP's
-    float solution, so predictions change only the number of float solves.
-    Each annotation is walked into its LP template once, at its first
-    solve, and read at every c it is solved at."""
+    they fit in _BATCH LPs, at least one.  The predictions change only which
+    LPs share a float solve.  The first float solve takes every annotation at
+    both its lo and hi.  Each annotation is walked into its LP template once,
+    at its first solve, and read at every c it is solved at."""
     hi = (1 + alpha) / alpha
 
     def lo_of(a):
@@ -287,60 +305,109 @@ def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
 
     los = {a: lo_of(a) for a in annotations}
     templates = {}  # annotation -> its LP template, walked once
-    last = {}  # annotation -> its last feasible decision
-    solved = {}  # (annotation, c) -> (LP or None, float solution), undecided
-    margins = {a: {} for a in annotations}  # annotation -> {c: float margin}
 
-    def feasible_of(pairs, path=None) -> list[str]:
-        """The annotations of the (annotation, c) pairs feasible at their c;
-        if one is not solved yet, one float solve takes path() (or pairs)."""
-        if any(p not in solved for p in pairs):
-            solved.clear()
-            todo = path() if path else pairs
-            batch = _solve_batch(todo, alpha, mode, templates)
-            counts["float_solves"] += any(lp is not None for lp, _ in batch)
-            for (a, c), (lp, sol) in zip(todo, batch):
-                solved[a, c] = lp, sol
-                if sol is not None:
-                    margins[a][c] = sol[0][_MARGIN]
-        counts["decisions"] += len(pairs)
-        fs = [feasible(a, alpha, c, mode, replay=False, _solved=solved.pop((a, c))) for a, c in pairs]
-        last.update((f.annotation, f) for f in fs if f.feasible)
-        return [f.annotation for f in fs if f.feasible]
+    def bisect(steered: bool):
+        solved = {}  # (annotation, c) -> (LP or None, float solution), undecided
+        margins = {a: {} for a in annotations}  # annotation -> {c: float margin}
+        # verdict -> {annotation: (c, decision)}: its largest c with a "yes"
+        # and its smallest with a "no", each a Feasibility once decided
+        # exactly, else the (LP, float solution) that steered
+        ends: dict[bool, dict] = {True: {}, False: {}}
 
-    if not (live := feasible_of(list(los.items()))):
-        return None
-    if both := feasible_of([(a, hi) for a in live]):
-        raise BracketError(
-            f"feasibility not monotone for {both[0]!r}: "
-            f"feasible at both c={los[both[0]]} and c={hi}"
-        )
+        def decide(a, c, s) -> Feasibility:
+            counts["decisions"] += 1
+            return feasible(a, alpha, c, mode, replay=False, _solved=s)
 
-    def predicted_path(lo, hi, live) -> list[tuple]:
-        estimates = {a: _c_star_estimate(margins[a]) for a in live}
-        pairs = []
-        while hi - lo > tol:
-            c = _midpoint(lo, hi)
-            level = [(a, c) for a in live if los[a] < c]
-            if pairs and len(pairs) + len(level) > _BATCH:
-                break
-            pairs += level
-            ahead = [a for a in live if los[a] >= c or float(c) < estimates[a]]
-            lo, hi, live = (c, hi, ahead) if ahead else (lo, c, live)
-        return pairs
+        def feasible_of(pairs, path=None) -> set[str]:
+            """The annotations of the (annotation, c) pairs judged feasible at
+            their c, each verdict steered or exact, recorded in ends; if one
+            is not solved yet, one float solve takes path() (or pairs)."""
+            if any(p not in solved for p in pairs):
+                solved.clear()
+                todo = path() if path else pairs
+                batch = _solve_batch(todo, alpha, mode, templates)
+                counts["float_solves"] += any(lp is not None for lp, _ in batch)
+                for (a, c), (lp, sol) in zip(todo, batch):
+                    solved[a, c] = lp, sol
+                    if sol is not None:
+                        margins[a][c] = sol[0][_MARGIN]
+            ok = set()
+            for a, c in pairs:
+                s = solved.pop((a, c))
+                if steered and s[1] is not None and abs(m := s[1][0][_MARGIN]) > _FLOAT_TOL:
+                    yes, end = m > 0, s
+                else:
+                    end = decide(a, c, s)
+                    yes = end.feasible
+                ends[yes][a] = c, end
+                if yes:
+                    ok.add(a)
+            return ok
 
-    bracket = [lo_of("1"), hi]  # _bisect's bracket, mirrored
+        def certify(a, yes: bool) -> Feasibility:
+            """The exact decision at a's end ends[yes][a]; _Steered unless
+            its verdict is yes."""
+            c, end = ends[yes][a]
+            if not isinstance(end, Feasibility):
+                end = decide(a, c, end)
+                ends[yes][a] = c, end
+            if end.feasible != yes:
+                raise _Steered
+            return end
 
-    def some_ahead(c):
-        nonlocal live
-        ok = feasible_of([(a, c) for a in live if los[a] < c], lambda: predicted_path(*bracket, live))
-        ahead = [a for a in live if los[a] >= c or a in ok]
-        live = ahead or live
-        bracket[0 if ahead else 1] = c
-        return bool(ahead)
+        ok = feasible_of(list(los.items()), lambda: [*los.items(), *((a, hi) for a in los)])
+        live = [a for a in annotations if a in ok]
+        for a in annotations:
+            if a not in ok:
+                certify(a, False)
+        if not live:
+            return None
+        ok = feasible_of([(a, hi) for a in live])
+        if both := [a for a in live if a in ok]:
+            if steered:
+                raise _Steered
+            raise BracketError(
+                f"feasibility not monotone for {both[0]!r}: "
+                f"feasible at both c={los[both[0]]} and c={hi}"
+            )
 
-    c_star = _bisect(some_ahead, *bracket, tol)
-    return c_star, live[0], last[live[0]]
+        def predicted_path(lo, hi, live) -> list[tuple]:
+            estimates = {a: _c_star_estimate(margins[a]) for a in live}
+            pairs = []
+            while hi - lo > tol:
+                c = _midpoint(lo, hi)
+                level = [(a, c) for a in live if los[a] < c]
+                if pairs and len(pairs) + len(level) > _BATCH:
+                    break
+                pairs += level
+                ahead = [a for a in live if los[a] >= c or float(c) < estimates[a]]
+                lo, hi, live = (c, hi, ahead) if ahead else (lo, c, live)
+            return pairs
+
+        bracket = [lo_of("1"), hi]  # _bisect's bracket, mirrored
+
+        def some_ahead(c):
+            nonlocal live
+            ok = feasible_of([(a, c) for a in live if los[a] < c], lambda: predicted_path(*bracket, live))
+            ahead = [a for a in live if los[a] >= c or a in ok]
+            if ahead:
+                for a in live:
+                    if a not in ahead:
+                        certify(a, False)
+                live = ahead
+            bracket[0 if ahead else 1] = c
+            return bool(ahead)
+
+        c_star = _bisect(some_ahead, *bracket, tol)
+        for a in live:
+            certify(a, False)
+        return c_star, live[0], certify(live[0], True)
+
+    try:
+        return bisect(steered=True)
+    except _Steered:
+        counts["fallbacks"] += 1
+        return bisect(steered=False)
 
 
 def _bisect_counted(annotations, alpha, tol, mode):
@@ -365,7 +432,7 @@ class SearchResult:
     best_c: Fraction
     annotation: str
     certificate: ProofCertificate | None
-    decisions: int  # the bisections' exact decisions, summed over batches
+    decisions: int  # the bisections' exact decisions, not their steered verdicts, summed over batches
     float_solves: int  # and their HiGHS calls
 
 

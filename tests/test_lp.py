@@ -7,10 +7,11 @@ import lp_walk
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csc_array
 from test_search import lp_decisions
 
-from atlb import lp, search
+from atlb import lp, search, simplex
 from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
 
 F = Fraction
@@ -97,6 +98,36 @@ def test_built_lp_matches_fraction_walk(job):
     got, want = lp._build_lp(*job), lp_walk.build_lp(*job)
     _same_lp(got, want)
     _same_stack([got], [want])
+
+
+@st.composite
+def c_pairs(draw):
+    """(annotation, alpha, c0, c1, mode) with c0 < c1, both where the LP
+    exists."""
+    a, alpha, c1, mode = draw(lp_decisions())
+    lo = max(F(1), 1 / alpha) if "2" in a else F(1)
+    return a, alpha, lo + (c1 - lo) * F(draw(st.integers(1, 99)), 100), c1, mode
+
+
+def _optimum(a, alpha, cc, mode) -> simplex.Vertex:
+    built = lp._build_lp(a, alpha, cc, mode)
+    return lp._exact_optimum(built, lp._crash_start(built))
+
+
+@given(c_pairs())
+@settings(max_examples=150, deadline=None)
+def test_feasibility_is_monotone_in_c(job):
+    # lp's lemma at exact optima: a "yes" at c1 is a "yes" at c0 < c1 in
+    # both modes; in ts, the optimum does not fall as c does, and a
+    # positive optimum's own point is feasible at c0 with the same margin
+    a, alpha, c0, c1, mode = job
+    opt0, opt1 = _optimum(a, alpha, c0, mode), _optimum(a, alpha, c1, mode)
+    assert opt0.value > 0 or opt1.value <= 0
+    if mode == TS_MODE:
+        assert opt0.value >= opt1.value
+        if opt1.value > 0:
+            point = {simplex.CONST: 1, **dict(enumerate(opt1.point))}
+            assert all(simplex._value(row, point) >= 0 for row in lp._build_lp(a, alpha, c0, mode).rows)
 
 
 def test_instance_shares_its_template():

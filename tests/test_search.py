@@ -1046,18 +1046,29 @@ def test_pool_has_no_more_workers_than_batches(monkeypatch):
 
 def _bisections(annotations, alpha, tol, mode, monkeypatch):
     """(answer, exact decisions) of the serial oracle's bisection and of
-    _bisect_max's, each decision as (annotation, c, verdict), in order."""
+    _bisect_max's, each decision as (annotation, c, verdict, method)."""
     runs = []
 
-    def predicted(*args):
+    def steered(*args):
         return search._bisect_max(*args, Counter())
 
-    for bisect_max in (serial_bisect.bisect_max, predicted):
+    for bisect_max in (serial_bisect.bisect_max, steered):
         decided = _record_decisions(monkeypatch)
         answer = bisect_max(annotations, alpha, tol, mode)
         monkeypatch.undo()
-        runs.append((answer and answer[:2], [(f.annotation, f.c, f.feasible) for f in decided]))
+        runs.append((answer and answer[:2], [(f.annotation, f.c, f.feasible, f.method) for f in decided]))
     return runs
+
+
+def _assert_decides_as_serial(want, got):
+    """got, a steered bisection, has the serial oracle's (c*, winner), makes
+    only exact decisions the oracle made, with its verdicts, and at most two
+    exact LP decisions per annotation."""
+    assert got[0] == want[0]
+    oracle = {(a, c): ok for a, c, ok, _ in want[1]}
+    assert all(oracle.get((a, c)) == ok for a, c, ok, _ in got[1])
+    per_annotation = Counter(a for a, _, _, method in got[1] if method != "precondition")
+    assert max(per_annotation.values(), default=0) <= 2
 
 
 @pytest.mark.parametrize(
@@ -1066,20 +1077,55 @@ def _bisections(annotations, alpha, tol, mode, monkeypatch):
     + [(BPTS_MODE, n, alpha) for n in range(3, 7) for alpha in (F(1), F(2, 3))],
 )
 def test_bisect_max_decides_as_serial_bisection(mode, max_len, alpha, monkeypatch):
-    # search_best's batches bisected with one float solve per predicted path
-    # and with one per midpoint: the same exact decisions in the same order,
-    # and the same c* and winner
+    # search_best's batches bisected with float verdicts steering and with an
+    # exact decision at every midpoint: the same c* and winner, from a few of
+    # the same exact decisions
     annotations = list(enumerate_annotations(max_len, mode))
     for i in range(0, len(annotations), search._BATCH):
         batch = annotations[i : i + search._BATCH]
-        want, got = _bisections(batch, alpha, F(1, 10**6), mode, monkeypatch)
-        assert got == want
+        _assert_decides_as_serial(*_bisections(batch, alpha, F(1, 10**6), mode, monkeypatch))
 
 
 @pytest.mark.parametrize("a", ["100", "10102100", "1110202020"])
 def test_best_exponent_decides_as_serial_bisection(a, monkeypatch):
     want, got = _bisections([a], F(1), F(1, 10**7), TS_MODE, monkeypatch)
-    assert got == want and got[0] is not None
+    _assert_decides_as_serial(want, got)
+    assert got[0] is not None
+
+
+@pytest.mark.parametrize(
+    "annotations,alpha,mode",
+    [
+        (list(enumerate_annotations(5, TS_MODE)), F(1), TS_MODE),
+        (list(enumerate_annotations(7, TS_MODE))[:32], F(2, 3), TS_MODE),
+        (["10102100"], F(1), TS_MODE),
+        (list(enumerate_annotations(6, BPTS_MODE)), F(1), BPTS_MODE),
+    ],
+)
+def test_wrong_float_verdict_falls_back_to_exact_bisection(annotations, alpha, mode, monkeypatch):
+    # the winner's float margin flipped at the largest c where the oracle
+    # finds it feasible: the steered verdict there is "no", an exact decision
+    # contradicts it, and the batch is bisected again with exact verdicts
+    tol = F(1, 10**6)
+    c_star, winner, last = serial_bisect.bisect_max(annotations, alpha, tol, mode)
+    solve_floats, flips = search._solve_floats, []
+
+    def flipped(lps):
+        sols = solve_floats(lps)
+        for i, lp in enumerate(lps):
+            if (lp.template.annotation, lp.table.cc) == (winner, last.c) and sols[i] is not None:
+                x, duals = sols[i]
+                flips.append(x[_MARGIN])
+                x = x.copy()
+                x[_MARGIN] *= -1
+                sols[i] = x, duals
+        return sols
+
+    monkeypatch.setattr(search, "_solve_floats", flipped)
+    counts = Counter()
+    assert search._bisect_max(annotations, alpha, tol, mode, counts)[:2] == (c_star, winner)
+    assert flips and min(flips) > search._FLOAT_TOL
+    assert counts["fallbacks"] == 1
 
 
 def test_search_best_solves_each_predicted_path_at_once(monkeypatch):
@@ -1114,8 +1160,9 @@ def test_wrong_predictions_keep_answers(
 
 
 def test_failed_float_solves_keep_search_answer(monkeypatch):
-    # with every float solve failing there are no margins to predict from,
-    # and every LP decision starts the exact simplex cold
+    # with every float solve failing there are no margins to predict from or
+    # steer by: every verdict is decided exactly, and every LP decision
+    # starts the exact simplex cold
     want = search_best(5, F(1))
     monkeypatch.setattr(search, "linprog", lambda *args, **kwargs: OptimizeResult(status=4))
     starts, crash_start = [], atlb.lp._crash_start
@@ -1123,7 +1170,7 @@ def test_failed_float_solves_keep_search_answer(monkeypatch):
     decided = _record_decisions(monkeypatch)
     got = search_best(5, F(1))
     assert (got.annotation, got.best_c) == (want.annotation, want.best_c)
-    assert got.decisions == want.decisions
+    assert got.decisions > want.decisions  # no float verdict steers
     assert {f.method for f in decided} <= {"vertex", "precondition"}
     assert len(starts) >= sum(f.method == "vertex" for f in decided) > 0
 
