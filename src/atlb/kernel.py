@@ -54,6 +54,10 @@ def format_rational(value: Fraction) -> str:
         raise RuntimeError(f"number too large to write: {exc}") from exc
 
 
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)  # Fraction(v) would copy a Fraction
+
+
 @dataclass(frozen=True)
 class Block:
     """One quantifier block: kind, guess-length exponent a, output exponent b."""
@@ -65,8 +69,8 @@ class Block:
     def __post_init__(self):
         if self.kind not in (EXISTS, FORALL):
             raise ClassError(f"unknown quantifier kind {self.kind!r}")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", _fraction(self.a))
+        object.__setattr__(self, "b", _fraction(self.b))
         if self.a < 0:
             raise ClassError(f"negative guess exponent a={self.a}")
 
@@ -85,7 +89,7 @@ class AltClass:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "d", Fraction(self.d))
+        object.__setattr__(self, "d", _fraction(self.d))
         if self.verifier not in (DET_TS, BP_TS):
             raise ClassError(f"unknown verifier kind {self.verifier!r}")
         if self.d <= 0:

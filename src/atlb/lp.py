@@ -8,12 +8,12 @@ are dropped (homogeneous form) and the initial d = 1 fixes the scale.  The
 annotation is feasible iff the maximal margin is positive.
 
 The LP's variables, rows and sparsity do not depend on (alpha, c), and each
-coefficient is +-1 times a monomial in c, alpha*c and the squiggle guard's
-ratio rho = alpha*c/(alpha*c - 1).  _template walks the annotation once
-into an LP whose coefficients are int codes for these monomials; _LP reads
-that template at one (alpha, c) through a _Table of the codes' values,
-exact and float, so an annotation decided at many c is walked once.  The
-template is the one record of the LP: _LP's exact rows are built from it,
+coefficient is +-1 times a monomial in c, alpha and the squiggle guard's ratio
+rho = alpha*c/(alpha*c - 1).  _template walks the annotation once, each
+speedup and slowdown by rules._effect, into an LP whose coefficients are int
+codes for these monomials; _LP reads it at one (alpha, c) through a _Table of
+the codes' values, exact and float, so an annotation is walked once for all c.
+The template is the one record of the LP: _LP's exact rows are built from it,
 and the tight point reads its coded terms through the table.
 
 Everything here is exact.  _decide, the one place where the certification
@@ -54,8 +54,8 @@ c0 < c1 two values where the LP exists.
   after each of the k interior returns to height 0 by c0/c1 suggests
   opt(c0) >= (c0/c1)^k * opt(c1) > 0 whenever opt(c1) > 0.
 
-The tests pin both at exact optima: in ts opt(c0) >= opt(c1), of either
-sign, and in both modes opt(c1) > 0 implies opt(c0) > 0.
+The tests pin both at exact optima: opt(c0) >= opt(c1) in ts, of either
+sign, and opt(c0) >= (c0/c1)^k * opt(c1) in bpts when opt(c1) > 0.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from functools import cached_property
 
 from . import simplex
 from .kernel import _rule_names
-from .rules import _squiggle_window
+from .rules import _effect, _squiggle_window
 from .simplex import CONST as _CONST
 from .simplex import _solve_rational, _value
 
@@ -77,10 +77,10 @@ _DUAL_TOL = 1e-11  # a row dual below -_DUAL_TOL is nonzero
 
 # --- The LP of an annotation ------------------------------------------------
 #
-# A coefficient code is an int: +-2^i 3^j 5^l stands for +-c^i (alpha c)^j rho^l,
-# so 1 and -1 stand for themselves.  Scaling an expression by c, alpha*c or
-# rho multiplies its codes by _C, _AC or _RHO.
-_C, _AC, _RHO = 2, 3, 5
+# A coefficient code is an int: +-2^i 3^j 5^l stands for +-c^i alpha^j rho^l,
+# so 1 and -1 stand for themselves.  Scaling an expression by c, alpha or
+# rho multiplies its codes by _C, _A or _RHO.
+_C, _A, _RHO = 2, 3, 5
 
 
 class _Template:
@@ -94,7 +94,10 @@ class _Template:
     expressions, multiplying their codes, and subtracts ones that share no
     variable, so each coefficient is +-1 times one monomial.  sub refuses a
     shared variable, which only an annotation with '12' meets (it has no
-    LP, see _lp_of; tests/lp_walk.py builds it in Fractions)."""
+    LP, see _lp_of; tests/lp_walk.py builds it in Fractions).  It is
+    rules._effect's arithmetic, without the floors: zero = one = {}."""
+
+    zero = one = {}
 
     def __init__(self, annotation: str):
         self.annotation = annotation
@@ -136,8 +139,8 @@ class _Template:
     def scale(self, code: int, e: dict) -> dict:
         return {k: code * v for k, v in e.items()}
 
-    def max_of(self, terms: list[dict]) -> dict:
-        terms = [t for t in terms if t]
+    def max_of(self, terms: list[dict], k: int | None = None) -> dict:  # of k times each term
+        terms = [t if k is None else self.scale(k, t) for t in terms if t]
         if not terms:
             return {}
         if len(terms) == 1:
@@ -156,25 +159,12 @@ class _Template:
 def _template(a: str, mode: str) -> _Template:
     """The LP template of the annotation's homogeneous rule semantics."""
     lp = _Template(a)
-    zero: dict = {}
-    blocks: list[tuple] = []  # (a value, b value); constant-1 floors are zero
+    blocks: list[tuple] = []  # (a value, b value)
     d = {_CONST: 1}
     for rule in _rule_names(a, mode):
-        if rule.startswith("speedup"):
-            x = lp.x()
-            lp.precondition(x)
-            d = lp.sub(d, x)
-            lp.precondition(d)
-            a0, b0 = blocks.pop() if blocks else (zero, zero)  # the input block E(0,1)
-            if rule == "speedup_rand":
-                blocks += [(a0, b0), (x, lp.max_of([b0, x])), (zero, b0)]
-            else:
-                blocks += [(lp.max_of([a0, x]), lp.max_of([b0, x])), (zero, b0)]
-        elif rule == "slowdown":
-            a0, b0 = blocks.pop()
-            b_prev = blocks[-1][1] if blocks else zero
-            lead = lp.scale(_AC, d)  # a grover collapse is this lead at alpha = 2/3
-            d = lp.max_of([lead, lp.scale(_C, b0), lp.scale(_C, a0), lp.scale(_C, b_prev)])
+        if rule != "squiggle":
+            new, d = _effect(rule, lp, blocks, d, (_C, _A) if rule == "slowdown" else lp.x())
+            blocks[-1:] = new
         else:
             # rules.squiggle's one step without its constant floor: under the
             # guard d < rho*a_k, d goes to the fixed point c*max(a_k, b_k).
@@ -190,7 +180,7 @@ def _template(a: str, mode: str) -> _Template:
             # replay (10102100 at c = 8/5).
             a0, b0 = blocks[-1]
             lp.precondition(lp.sub(lp.scale(_RHO, a0), d))
-            d = lp.max_of([lp.scale(_C, a0), lp.scale(_C, b0)])
+            d = lp.max_of([a0, b0], _C)
     lp.precondition(lp.sub({_CONST: 1}, d))
     return lp
 
@@ -209,7 +199,7 @@ class _Memo(dict):
 
 class _Table:
     """The coefficients at one (alpha, c): exact[code] is the int a code 0
-    or +-1 stands for, else the Fraction +-c^i (alpha c)^j rho^l, and
+    or +-1 stands for, else the Fraction +-c^i alpha^j rho^l, and
     floats[code] its float.  Each is computed at its code's first lookup."""
 
     def __init__(self, alpha: Fraction, cc: Fraction):
@@ -224,8 +214,8 @@ class _Table:
         ac = self.alpha * self.cc
         while n % _RHO == 0:
             value, n = value * ac / (ac - 1), n // _RHO
-        while n % _AC == 0:
-            value, n = value * ac, n // _AC
+        while n % _A == 0:
+            value, n = value * self.alpha, n // _A
         while n % _C == 0:
             value, n = value * self.cc, n // _C
         return value

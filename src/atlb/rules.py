@@ -1,16 +1,18 @@
 """Exact application of the inclusion rules and certificate verification.
 
-Every rule is a pure function from an alternating class to a new one; all
-arithmetic is exact rational.  A proof certificate is the initial class plus a
-list of rule applications.  One loop (derive) applies a step list: it
-assembles certificates, and the verifier checks every stated line against it
-and decides whether the chain shows a contradiction (a return to a class of
-the same shape with no larger exponents, using at least one speedup).
+Every rule is a pure function from an alternating class to a new one, in
+exact rationals.  The speedups and the slowdown are written once, in _effect,
+whose arithmetic lp._template shares without the constant-1 floors.  One loop
+(derive) applies a certificate's steps to its initial class: it assembles
+certificates, and the verifier checks every stated line against it and
+decides whether the chain shows a contradiction (a return to a class of the
+same shape with no larger exponents, using at least one speedup).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +36,6 @@ SQUIGGLE_ITERATION_CAP = 10**6
 
 RULE_NAMES = ("speedup_first", "speedup", "speedup_rand", "slowdown", "grover", "squiggle")
 ASSUMPTIONS = ("ntime", "ebqp", "ebp")
-_INPUT = Block(EXISTS, Fraction(0), Fraction(1))  # the input block a quantifier-free class ends in
 
 
 class RuleError(ValueError):
@@ -48,15 +49,6 @@ class CertificateError(ValueError):
 def _require(cond: bool, message: str):
     if not cond:
         raise RuleError(message)
-
-
-def _speedup_parameter(c0: AltClass, x) -> Fraction:
-    """x as a Fraction, checked to lie in (0, d).  The message is built only
-    when the check fails: str() of a d past 4,300 digits raises ValueError."""
-    x = Fraction(x)
-    if not 0 < x < c0.d:
-        raise RuleError(f"speedup parameter out of range: 0 < {x} < {c0.d} fails")
-    return x
 
 
 def _range_error(alpha, cc=None) -> str | None:
@@ -81,14 +73,45 @@ def _squiggle_window(alpha, cc) -> bool:
     return alpha * cc > 1 and cc < (1 + alpha) / alpha
 
 
-def _speedup(c0: AltClass, x: Fraction) -> AltClass:
-    """Merge the guess n^x into the last block (a quantifier-free class's input
-    block) and append a log-width block of the opposite kind; d' = d - x."""
-    x = _speedup_parameter(c0, x)
-    *prefix, last = c0.blocks or (_INPUT,)
-    merged = Block(last.kind, max(last.a, x), max(last.b, x))
-    appended = Block(_flip(last.kind), Fraction(0), last.b)
-    return AltClass((*prefix, merged, appended), DET_TS, c0.d - x)
+class _Exact:
+    """_effect's arithmetic in the rules: exact, with the constant-1 floors."""
+
+    zero, one = Fraction(0), Fraction(1)
+    sub, scale = operator.sub, operator.mul  # builtins: no self is bound
+    precondition = staticmethod(lambda e: _require(e > 0, "unmet"))  # _apply gives the message
+
+    @staticmethod
+    def max_of(terms, k=None):  # times k if given: one product, where the LP has a row per term
+        return max(terms) if k is None else k * max(terms)
+
+
+def _effect(rule: str, alg, blocks: list, d, x):
+    """A speedup's or the slowdown's effect on a class's (a, b) block pairs
+    and d: (new, d'), the pairs that replace the last block, and d'.  It reads
+    the last two pairs after the input block E(0,1) (twice, for an empty prefix).
+    x is a speedup's 0 < x < d or the slowdown's (c, alpha); alg is _Exact or lp._Template."""
+    (_, b_prev), (a0, b0) = ([(alg.zero, alg.one)] * 2 + blocks)[-2:]
+    if rule == "slowdown":  # d' = c * max(alpha*d, b_k, a_k, b_{k-1}, 1)
+        c, alpha = x
+        return [], alg.max_of([alg.scale(alpha, d), b0, a0, b_prev, alg.one], c)
+    alg.precondition(x)
+    d = alg.sub(d, x)
+    alg.precondition(d)
+    if rule == "speedup_rand":  # two new blocks after the last one
+        return [(a0, b0), (x, alg.max_of([b0, x])), (alg.zero, b0)], d
+    # the guess n^x merges into the last block, then a log-width block
+    return [(alg.max_of([a0, x]), alg.max_of([b0, x])), (alg.zero, b0)], d
+
+
+def _apply(c0: AltClass, rule: str, verifier: str, x) -> AltClass:
+    """The class rule's _effect leaves; new blocks alternate in kind from the replaced one."""
+    try:
+        new, d = _effect(rule, _Exact, [(blk.a, blk.b) for blk in c0.blocks[-2:]], c0.d, x)
+    except RuleError:  # the message is built only now: str() of a d past 4,300 digits raises
+        raise RuleError(f"speedup parameter out of range: 0 < {x} < {c0.d} fails") from None
+    kind = c0.blocks[-1].kind if c0.blocks else EXISTS
+    new = (Block(kind if i % 2 == 0 else _flip(kind), a, b) for i, (a, b) in enumerate(new))
+    return AltClass(c0.blocks[:-1] + tuple(new), verifier, d)
 
 
 def speedup_first(c0: AltClass, x: Fraction) -> AltClass:
@@ -96,25 +119,21 @@ def speedup_first(c0: AltClass, x: Fraction) -> AltClass:
     class's input block.  TS[d] -> E(x, max(x,1)) A(0, 1) TS[d - x]."""
     _require(not c0.blocks, "speedup_first needs a quantifier-free class")
     _require(c0.verifier == DET_TS, "speedup_first needs a deterministic verifier")
-    return _speedup(c0, x)
+    return _apply(c0, "speedup_first", DET_TS, Fraction(x))
 
 
 def speedup(c0: AltClass, x: Fraction) -> AltClass:
     """Usual speedup of a class with at least one quantifier."""
     _require(len(c0.blocks) >= 1, "speedup needs at least one quantifier")
     _require(c0.verifier == DET_TS, "speedup needs a deterministic verifier")
-    return _speedup(c0, x)
+    return _apply(c0, "speedup", DET_TS, Fraction(x))
 
 
 def speedup_randomized(c0: AltClass, x: Fraction) -> AltClass:
     """Randomized speedup: adds two quantifiers after the last one (the input
     block of a quantifier-free class) and derandomizes the verifier."""
     _require(c0.verifier == BP_TS, "randomized speedup needs a randomized verifier")
-    x = _speedup_parameter(c0, x)
-    blocks = c0.blocks or (_INPUT,)
-    last = blocks[-1]
-    guessed = Block(_flip(last.kind), x, max(last.b, x))
-    return AltClass(blocks + (guessed, Block(last.kind, Fraction(0), last.b)), DET_TS, c0.d - x)
+    return _apply(c0, "speedup_rand", DET_TS, Fraction(x))
 
 
 def slowdown_generic(
@@ -130,9 +149,7 @@ def slowdown_generic(
     verifier = _verifier(mode)
     if mode == TS_MODE:
         _require(c0.verifier == DET_TS, "deterministic slowdown needs a deterministic verifier")
-    prev, last = ((_INPUT,) + c0.blocks)[-2:]
-    d_new = cc * max(alpha * c0.d, last.b, last.a, prev.b, Fraction(1))
-    return AltClass(c0.blocks[:-1], verifier, d_new)
+    return _apply(c0, "slowdown", verifier, (cc, alpha))
 
 
 def grover_collapse(c0: AltClass, cc: Fraction) -> AltClass:

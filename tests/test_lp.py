@@ -1,6 +1,7 @@
 """The LP template: one walk per annotation, read at each (alpha, c) through
 a coefficient table, against the Fraction walk of tests/lp_walk.py."""
 
+from collections import Counter
 from fractions import Fraction
 
 import lp_walk
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csc_array
+from scipy.optimize import linprog
+from scipy.sparse import block_diag, csc_array
 from test_search import lp_decisions
 
-from atlb import lp, search, simplex
-from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
+from atlb import lp, proofs, rules, search, simplex
+from atlb.kernel import BPTS_MODE, TS_MODE, AltClass, _verifier, enumerate_annotations, validate_annotation
 
 F = Fraction
 ALPHAS = (F(1), F(2, 3), F(4, 5), F(9, 10))
@@ -119,7 +121,9 @@ def _optimum(a, alpha, cc, mode) -> simplex.Vertex:
 def test_feasibility_is_monotone_in_c(job):
     # lp's lemma at exact optima: a "yes" at c1 is a "yes" at c0 < c1 in
     # both modes; in ts, the optimum does not fall as c does, and a
-    # positive optimum's own point is feasible at c0 with the same margin
+    # positive optimum's own point is feasible at c0 with the same margin;
+    # in bpts, a positive optimum falls at most by (c0/c1)^k, k the
+    # annotation's interior returns to height 0
     a, alpha, c0, c1, mode = job
     opt0, opt1 = _optimum(a, alpha, c0, mode), _optimum(a, alpha, c1, mode)
     assert opt0.value > 0 or opt1.value <= 0
@@ -128,6 +132,71 @@ def test_feasibility_is_monotone_in_c(job):
         if opt1.value > 0:
             point = {simplex.CONST: 1, **dict(enumerate(opt1.point))}
             assert all(simplex._value(row, point) >= 0 for row in lp._build_lp(a, alpha, c0, mode).rows)
+    elif opt1.value > 0:
+        k = sum(h == 0 for _, h in validate_annotation(a, mode).heights[1:-1])
+        assert opt0.value >= (c0 / c1) ** k * opt1.value
+
+
+_D0 = F(10**6)
+
+
+def _contradicts_as(a, alpha, cc, mode, xs) -> str | None:
+    """The annotation whose derivation the rules make at the speedup
+    parameters xs * d0, from the empty class at d0, when it ends in a
+    contradiction: a without each improper squiggle, which leaves the class
+    unchanged.  None for an invalid derivation or one without a
+    contradiction."""
+    steps = proofs._annotation_steps(a, mode, [x * _D0 for x in xs])
+    _, report = rules.derive(alpha, cc, mode, AltClass((), _verifier(mode), _D0), steps)
+    if not report.contradiction:
+        return None
+    improper = {i for i, _, proper in report.squiggles if not proper}
+    return "".join(s for i, s in enumerate(a, start=1) if i not in improper)
+
+
+def _dropped_term_optima(built: lp._LP, point: list[Fraction]) -> list[list[Fraction]]:
+    """For each max term row tight at point, the speedup parameters of the
+    LP's float optimum without that row: where a rule that forgot the term
+    would be stronger than the LP.  One HiGHS call solves them all."""
+    at = {simplex.CONST: 1, **dict(enumerate(point))}
+    rows = [r for r, row in enumerate(built.rows) if lp._MARGIN not in row and simplex._value(row, at) == 0]
+    a_ub, b_ub, _ = search._stacked([built])
+    keeps = [[q for q in range(len(b_ub)) if q != r] for r in rows]
+    n = built.nvars
+    objective = np.zeros(n * len(rows))
+    objective[::n] = -1.0
+    bounds = ([(None, 1)] + [(0, None)] * (n - 1)) * len(rows)
+    res = linprog(
+        objective, A_ub=block_diag([a_ub[k] for k in keeps], format="csc"),
+        b_ub=np.concatenate([b_ub[k] for k in keeps]), bounds=bounds, method="highs",
+    )
+    assert res.status == 0
+    return [[F(res.x[j * n + i]).limit_denominator(10**9) for i in built.xvars] for j in range(len(rows))]
+
+
+@pytest.mark.parametrize("mode, max_len", [(TS_MODE, 8), (BPTS_MODE, 10)])
+def test_lp_relaxes_the_rules(mode, max_len):
+    # every "no" rests on this: a rule derivation that ends in a
+    # contradiction gives its annotation's LP (improper squiggles dropped)
+    # an exact optimum > 0.  The derivations are aimed where a rule stronger
+    # than the LP would show: just above each annotation's c*, at the LP's
+    # exact optimum and at the optimum of the LP without each max term
+    # tight there.  At alpha < 1 a rule that misplaces alpha shows too
+    alpha, tol = F(9, 10), F(1, 10**6)
+    checked = 0
+    for a in enumerate_annotations(max_len, mode):
+        if "12" in a or (best := search._bisect_max([a], alpha, tol, mode, Counter())) is None:
+            continue
+        cc = best[0] + tol
+        if "2" in a and not rules._squiggle_window(alpha, cc):
+            continue
+        built = lp._build_lp(a, alpha, cc, mode)
+        opt = lp._exact_optimum(built, lp._crash_start(built))
+        for xs in [[opt.point[i] for i in built.xvars], *_dropped_term_optima(built, opt.point)]:
+            checked += 1
+            if (b := _contradicts_as(a, alpha, cc, mode, xs)) is not None:
+                assert _optimum(b, alpha, cc, mode).value > 0, (a, b, cc, xs)
+    assert checked > 100
 
 
 def test_instance_shares_its_template():
@@ -142,15 +211,15 @@ def test_instance_shares_its_template():
 
 
 def test_table_codes():
-    # a code +-2^i 3^j 5^l stands for +-c^i (alpha c)^j rho^l; 0 and +-1 are ints
+    # a code +-2^i 3^j 5^l stands for +-c^i alpha^j rho^l; 0 and +-1 are ints
     table = lp._Table(F(4, 5), F(3, 2))
     ac = F(6, 5)
     rho = ac / (ac - 1)
     assert [table.exact[code] for code in (0, 1, -1)] == [0, 1, -1]
     assert all(type(table.exact[code]) is int for code in (0, 1, -1))
     assert table.exact[lp._C] == F(3, 2)
-    assert table.exact[-lp._AC] == -ac
-    assert table.exact[-(lp._AC**2)] == -(ac**2)
+    assert table.exact[-lp._C * lp._A] == -ac
+    assert table.exact[-((lp._C * lp._A) ** 2)] == -(ac**2)
     assert table.exact[lp._RHO * lp._C] == rho * F(3, 2)
     assert table.floats[-lp._RHO] == float(-rho)
 

@@ -143,6 +143,35 @@ class TestSlowdownGeneric:
             slowdown_generic(parse_class("E(a=1,b=1) TS d=2"), F(2), F(2))
 
 
+class TestBlockKinds:
+    # each rule's new blocks alternate in kind from the class's first block,
+    # which may be A as well as E; slowdowns at alpha = 2/3, c = 3/2
+    @pytest.mark.parametrize(
+        "step, mode, first, last",
+        [
+            ("speedup 2", TS_MODE, "A(a=1,b=2) E(a=0,b=1) TS d=5", "A(a=1,b=2) E(a=2,b=2) A(a=0,b=1) TS d=3"),
+            ("speedup 1", TS_MODE, "A(a=1,b=2) TS d=5", "A(a=1,b=2) E(a=0,b=2) TS d=4"),
+            ("speedup 2", TS_MODE, "E(a=1,b=2) A(a=0,b=1) TS d=5", "E(a=1,b=2) A(a=2,b=2) E(a=0,b=1) TS d=3"),
+            ("speedup_rand 2", BPTS_MODE, "A(a=1,b=2) BPTS d=5", "A(a=1,b=2) E(a=2,b=2) A(a=0,b=2) TS d=3"),
+            ("speedup_rand 3", BPTS_MODE, "E(a=1,b=2) BPTS d=5", "E(a=1,b=2) A(a=3,b=3) E(a=0,b=2) TS d=2"),
+            (
+                "speedup_rand 1",
+                BPTS_MODE,
+                "A(a=1,b=2) E(a=0,b=3) BPTS d=5",
+                "A(a=1,b=2) E(a=0,b=3) A(a=1,b=3) E(a=0,b=3) TS d=4",
+            ),
+            ("slowdown", TS_MODE, "A(a=1,b=2) E(a=0,b=1) TS d=5", "A(a=1,b=2) TS d=5"),
+            ("slowdown", TS_MODE, "A(a=1,b=2) TS d=5", "TS d=5"),
+            ("slowdown", TS_MODE, "E(a=1,b=2) A(a=0,b=3) TS d=1", "E(a=1,b=2) TS d=9/2"),
+            ("slowdown", BPTS_MODE, "A(a=1,b=2) E(a=0,b=3) TS d=1", "A(a=1,b=2) BPTS d=9/2"),
+        ],
+    )
+    def test_kinds_alternate_from_the_first_block(self, step, mode, first, last):
+        rule, *x = step.split()
+        out, _ = rules.apply_step(parse_class(first), RuleStep(rule, *map(F, x)), F(2, 3), F(3, 2), mode)
+        assert out == parse_class(last)
+
+
 class TestGroverCollapse:
     def test_two_thirds_term_binds(self):
         out = grover_collapse(parse_class("E(a=1,b=1) A(a=1,b=1) TS d=3"), F(2))
