@@ -41,7 +41,9 @@ writes to OUT, one line each:
 - with them, walks= the LP templates walked (lp._template) and lps= the
   LPs read from them (lp._LP) in each part: a scan walks each annotation
   with an LP once, a bisection each of its annotations once, and every
-  float solve reads one LP per (annotation, c) it takes;
+  float solve reads one LP per (annotation, c) it takes; and fallbacks=
+  the bisections (search._bisect_max) that an exact decision against a
+  steered verdict sent to a second pass with every verdict exact;
 - a sha256 over the formatted certificates of each part that builds them:
   the sweep's replayed entries, the search winners, and the named proofs
   (the bpts proofs at c in {7/5, 3/2} and good_proof at three (alpha, c, k));
@@ -82,9 +84,24 @@ def counted(module, name, calls):
     setattr(module, name, wrapper)
 
 
+def counted_fallbacks(calls):
+    """Add the fallbacks to exact verdicts of every search._bisect_max call
+    to calls["fallbacks"]; the Counter the caller passes keeps its own."""
+    bisect_max = search._bisect_max
+
+    def wrapper(annotations, alpha, tol, mode, counts):
+        before = counts["fallbacks"]
+        answer = bisect_max(annotations, alpha, tol, mode, counts)
+        calls["fallbacks"] += counts["fallbacks"] - before
+        return answer
+
+    search._bisect_max = wrapper
+
+
 def main(out_path: str) -> None:
     calls: Counter = Counter()
     counted(search, "linprog", calls)
+    counted_fallbacks(calls)
     counted(simplex, "solve", calls)
     counted(lp, "_template", calls)
     counted(lp, "_LP", calls)
@@ -99,7 +116,7 @@ def main(out_path: str) -> None:
         lines.append(
             f"calls {name}: linprog={calls['linprog']} simplex={calls['solve']} "
             f"apply_step={calls['apply_step']} verify_proof={calls['verify_proof']} "
-            f"walks={calls['_template']} lps={calls['_LP']}"
+            f"walks={calls['_template']} lps={calls['_LP']} fallbacks={calls['fallbacks']}"
         )
         calls.clear()
         if certs:

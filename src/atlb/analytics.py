@@ -3,9 +3,8 @@
 The lower-bound exponent for slowdown parameter alpha is the largest real root
 of P_alpha(x) = alpha^2 x^3 - alpha x^2 - 2 alpha x + 1.  Roots are isolated by
 sign-change bracketing with rational endpoints and refined by bisection
-(_bisect, the one bisection loop, which the search also runs over c); they are
-the only irrational values in the package and never feed back into
-certificates.
+(_bisect, which proofs.good_proof_best_c also runs over c); they are the
+only irrational values in the package and never feed back into certificates.
 """
 
 from __future__ import annotations

@@ -13,17 +13,17 @@ variable and no row, so they stack into one block-diagonal LP whose
 objective is the sum of their margins, and its optimum and duals split into
 those of each block.  Scans and searches cut their annotations into fixed
 batches; a process pool spreads whole batches, so the number of workers
-changes no answer.  Bisection over c (best_exponent, search_best) bisects
+changes no answer.  Bisection over c (best_exponent, search_best) walks
 one bracket per batch for the largest best exponent of its annotations: each
 midpoint judges the annotations still level with the best, and drops those
-that fall behind.  Float margins steer the path: as feasibility is monotone
-in c (the lemma in lp), an annotation is decided exactly, without replay,
-only where it leaves, and the winner at its last "yes", so the searches
-count exact decisions only.  One float solve takes the LPs of the stretch of
-bisection path that the float margins predict (each c* interpolated from
-HiGHS's margins); a wrong prediction wastes only float LPs.  search_best
-replays only the winner's last feasible witness, and decides the winner
-again if the rules reject it.
+that fall behind.  Float margins steer the walk: as feasibility is monotone
+in c (the lemma in lp), once the walk ends each annotation is decided
+exactly, without replay, only where it left, and the winner at its last
+"yes", so the searches count exact decisions only.  One float solve takes
+the LPs of the stretch of path that the same walk predicts from the float
+margins (each c* interpolated from HiGHS's margins); a wrong prediction
+wastes only float LPs.  search_best replays only the winner's last feasible
+witness, and decides the winner again if the rules reject it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from .analytics import _bisect, _midpoint
+from .analytics import _midpoint
 from .kernel import TS_MODE, enumerate_annotations, validate_annotation
 from .lp import _FLOAT_TOL, _LP, _MARGIN, _decide, _lp_of, _Table, _witness
 from .proofs import _annotation_steps, _run_steps
@@ -273,30 +273,31 @@ def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
     the float solves and any fallback to exact verdicts.
 
     Each annotation is judged at its own lo, and the live (feasible) ones at
-    hi.  Then one bracket, from the lo of an annotation without '2' to hi, is
-    bisected with the predicate "some live annotation is ahead at c": feasible
-    there, or with lo >= c.  A true midpoint keeps only the annotations ahead,
-    so each live one has met every verdict of the bracket, and the first one's
-    best_exponent is exactly c*.  Decides without replay, so a caller that
-    wants a certificate replays.
+    hi.  Then one walk bisects one bracket, from the lo of an annotation
+    without '2' to hi, with the predicate "some live annotation is ahead at
+    c": feasible there, or with lo >= c.  A true midpoint keeps only the
+    annotations ahead, so each live one has met every verdict of the bracket,
+    and the first one's best_exponent is exactly c*.  Decides without replay,
+    so a caller that wants a certificate replays.
 
     A verdict is its float margin's sign where that margin is clear of 0 by
     _FLOAT_TOL, else an exact decision.  Feasibility being monotone in c (see
     lp), an exact "yes" below and "no" above make every steered verdict
-    between them exact.  So each annotation is decided exactly only where it
-    leaves (at its lo, at the midpoint where it falls behind, or at the final
-    hi), and the winner also at its largest feasible c, and the path, c*,
+    between them exact.  So after the walk each annotation is decided exactly
+    at its smallest "no" (its lo, the midpoint where it fell behind, or the
+    final hi), and the winner also at its largest "yes", and the path, c*,
     winner and tie order are those of exact decisions at every midpoint.  An
     exact decision against the float verdict that steered, or a float "yes"
     at hi, sends the batch to a second bisection with every verdict exact;
     that one raises BracketError.
 
-    A midpoint not solved yet solves the LPs of the path that follows if each
-    live annotation is feasible below its _c_star_estimate: whole levels while
-    they fit in _BATCH LPs, at least one.  The predictions change only which
-    LPs share a float solve.  The first float solve takes every annotation at
-    both its lo and hi.  Each annotation is walked into its LP template once,
-    at its first solve, and read at every c it is solved at."""
+    A midpoint not solved yet solves the LPs of the path that the same walk
+    predicts if each live annotation is feasible below its _c_star_estimate:
+    whole levels while they fit in _BATCH LPs, at least one.  The
+    predictions change only which LPs share a float solve.  The first float
+    solve takes every annotation at both its lo and hi.  Each annotation is
+    walked into its LP template once, at its first solve, and read at every
+    c it is solved at."""
     hi = (1 + alpha) / alpha
 
     def lo_of(a):
@@ -305,6 +306,21 @@ def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
 
     los = {a: lo_of(a) for a in annotations}
     templates = {}  # annotation -> its LP template, walked once
+
+    def walk(lo, hi, live, judge):
+        """(c*, live) where the bisection of [lo, hi] stops: while hi - lo >
+        tol, judge(pairs, lo, hi, live) gives the annotations feasible at the
+        midpoint c among the pairs (a, c) of the live a with los[a] < c, or
+        None to stop there.  If some live annotation is ahead at c, c is the
+        new lo and those ahead the new live, else c is the new hi."""
+        while hi - lo > tol:
+            c = _midpoint(lo, hi)
+            ok = judge([(a, c) for a in live if los[a] < c], lo, hi, live)
+            if ok is None:
+                break
+            ahead = [a for a in live if los[a] >= c or a in ok]
+            lo, hi, live = (c, hi, ahead) if ahead else (lo, c, live)
+        return (lo + hi) / 2, live
 
     def bisect(steered: bool):
         solved = {}  # (annotation, c) -> (LP or None, float solution), undecided
@@ -344,64 +360,46 @@ def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
                     ok.add(a)
             return ok
 
+        def predicted_path(lo, hi, live) -> list[tuple]:
+            estimates = {a: _c_star_estimate(margins[a]) for a in live}
+            path = []
+
+            def guess(pairs, *_):
+                if path and len(path) + len(pairs) > _BATCH:
+                    return None
+                path.extend(pairs)
+                return {a for a, c in pairs if float(c) < estimates[a]}
+
+            walk(lo, hi, live, guess)
+            return path
+
         def certify(a, yes: bool) -> Feasibility:
             """The exact decision at a's end ends[yes][a]; _Steered unless
             its verdict is yes."""
             c, end = ends[yes][a]
             if not isinstance(end, Feasibility):
                 end = decide(a, c, end)
-                ends[yes][a] = c, end
             if end.feasible != yes:
                 raise _Steered
             return end
 
         ok = feasible_of(list(los.items()), lambda: [*los.items(), *((a, hi) for a in los)])
         live = [a for a in annotations if a in ok]
-        for a in annotations:
-            if a not in ok:
-                certify(a, False)
-        if not live:
-            return None
-        ok = feasible_of([(a, hi) for a in live])
-        if both := [a for a in live if a in ok]:
-            if steered:
-                raise _Steered
-            raise BracketError(
-                f"feasibility not monotone for {both[0]!r}: "
-                f"feasible at both c={los[both[0]]} and c={hi}"
+        if live:
+            ok = feasible_of([(a, hi) for a in live])
+            if both := [a for a in live if a in ok]:
+                if steered:
+                    raise _Steered
+                raise BracketError(
+                    f"feasibility not monotone for {both[0]!r}: "
+                    f"feasible at both c={los[both[0]]} and c={hi}"
+                )
+            c_star, live = walk(
+                lo_of("1"), hi, live, lambda pairs, *at: feasible_of(pairs, lambda: predicted_path(*at))
             )
-
-        def predicted_path(lo, hi, live) -> list[tuple]:
-            estimates = {a: _c_star_estimate(margins[a]) for a in live}
-            pairs = []
-            while hi - lo > tol:
-                c = _midpoint(lo, hi)
-                level = [(a, c) for a in live if los[a] < c]
-                if pairs and len(pairs) + len(level) > _BATCH:
-                    break
-                pairs += level
-                ahead = [a for a in live if los[a] >= c or float(c) < estimates[a]]
-                lo, hi, live = (c, hi, ahead) if ahead else (lo, c, live)
-            return pairs
-
-        bracket = [lo_of("1"), hi]  # _bisect's bracket, mirrored
-
-        def some_ahead(c):
-            nonlocal live
-            ok = feasible_of([(a, c) for a in live if los[a] < c], lambda: predicted_path(*bracket, live))
-            ahead = [a for a in live if los[a] >= c or a in ok]
-            if ahead:
-                for a in live:
-                    if a not in ahead:
-                        certify(a, False)
-                live = ahead
-            bracket[0 if ahead else 1] = c
-            return bool(ahead)
-
-        c_star = _bisect(some_ahead, *bracket, tol)
-        for a in live:
+        for a in annotations:
             certify(a, False)
-        return c_star, live[0], certify(live[0], True)
+        return (c_star, live[0], certify(live[0], True)) if live else None
 
     try:
         return bisect(steered=True)

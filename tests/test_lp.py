@@ -1,6 +1,7 @@
 """The LP template: one walk per annotation, read at each (alpha, c) through
 a coefficient table, against the Fraction walk of tests/lp_walk.py."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -181,9 +182,12 @@ def test_lp_relaxes_the_rules(mode, max_len):
     # an exact optimum > 0.  The derivations are aimed where a rule stronger
     # than the LP would show: just above each annotation's c*, at the LP's
     # exact optimum and at the optimum of the LP without each max term
-    # tight there.  At alpha < 1 a rule that misplaces alpha shows too
+    # tight there, and at seeded perturbations of each, which reach points
+    # where a term that the LP leaves slack binds in the rules.  At
+    # alpha < 1 a rule that misplaces alpha shows too
     alpha, tol = F(9, 10), F(1, 10**6)
-    checked = 0
+    rng = random.Random(27)
+    checked, refuted = 0, {}
     for a in enumerate_annotations(max_len, mode):
         if "12" in a or (best := search._bisect_max([a], alpha, tol, mode, Counter())) is None:
             continue
@@ -192,11 +196,15 @@ def test_lp_relaxes_the_rules(mode, max_len):
             continue
         built = lp._build_lp(a, alpha, cc, mode)
         opt = lp._exact_optimum(built, lp._crash_start(built))
-        for xs in [[opt.point[i] for i in built.xvars], *_dropped_term_optima(built, opt.point)]:
+        points = [[opt.point[i] for i in built.xvars], *_dropped_term_optima(built, opt.point)]
+        points += [[x * F(rng.randint(50, 150), 100) for x in xs] for xs in points for _ in range(5)]
+        for xs in points:
             checked += 1
             if (b := _contradicts_as(a, alpha, cc, mode, xs)) is not None:
-                assert _optimum(b, alpha, cc, mode).value > 0, (a, b, cc, xs)
-    assert checked > 100
+                if (b, cc) not in refuted:
+                    refuted[b, cc] = _optimum(b, alpha, cc, mode).value
+                assert refuted[b, cc] > 0, (a, b, cc, xs)
+    assert checked > 600
 
 
 def test_instance_shares_its_template():

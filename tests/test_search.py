@@ -1159,6 +1159,53 @@ def test_wrong_predictions_keep_answers(
     assert rep.valid and rep.contradiction
 
 
+@pytest.mark.parametrize(
+    "a,alpha,tol,mode",
+    [
+        ("100", F(1), F(1, 10**6), TS_MODE),
+        ("1110202020", F(1), F(1, 10**6), TS_MODE),
+        ("1102020", F(2, 3), F(1, 10**7), TS_MODE),
+        ("110000", F(1), F(1, 10**6), BPTS_MODE),
+    ],
+)
+def test_true_estimate_predicts_the_whole_path(a, alpha, tol, mode, monkeypatch):
+    # estimated at its true c*, an annotation's prediction is its bisection
+    # path: one float solve at both ends, then one of every midpoint that the
+    # serial oracle decides, in its order
+    solves, solve_batch = [], search._solve_batch
+
+    def recorded(pairs, *args):
+        solves.append(pairs)
+        return solve_batch(pairs, *args)
+
+    monkeypatch.setattr(search, "_solve_batch", recorded)
+    c_star = serial_bisect.bisect_max([a], alpha, tol, mode)[0]
+    ends, path = solves[:2], [p for level in solves[2:] for p in level]
+    solves.clear()
+    monkeypatch.setattr(search, "_c_star_estimate", lambda margins: float(c_star))
+    counts = Counter()
+    assert search._bisect_max([a], alpha, tol, mode, counts)[0] == c_star
+    assert counts["float_solves"] == len(solves) == 2
+    assert solves == [ends[0] + ends[1], path]
+
+
+@pytest.mark.parametrize(
+    "margins,estimate",
+    [
+        ({}, math.inf),
+        ({F(3, 2): 0.2, F(8, 5): 1e-9}, math.inf),
+        ({F(3, 2): -0.2, F(8, 5): -0.5}, -math.inf),
+        ({F(3, 2): 0.0}, -math.inf),  # a zero margin is a "no"
+        ({F(3, 2): 0.2, F(8, 5): -0.2}, 1.55),
+        ({F(3, 2): 0.3, F(8, 5): 0.0}, 1.6),
+        # only the largest "yes" and the smallest "no" count
+        ({F(6, 5): 0.9, F(3, 2): 0.1, F(8, 5): -0.3, F(2): -0.4}, 1.525),
+    ],
+)
+def test_c_star_estimate(margins, estimate):
+    assert search._c_star_estimate(margins) == pytest.approx(estimate)
+
+
 def test_failed_float_solves_keep_search_answer(monkeypatch):
     # with every float solve failing there are no margins to predict from or
     # steer by: every verdict is decided exactly, and every LP decision
