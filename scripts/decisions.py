@@ -38,10 +38,11 @@ writes to OUT, one line each:
   path its float margins predict, and its first one takes each annotation
   at both ends of the bracket: the searches make 114 HiGHS calls and the
   bisections 845 (528 and 4,288 at one float solve per midpoint);
-- with them, walks= the LP templates walked (lp._template) and lps= the
-  LPs read from them (lp._LP) in each part: a scan walks each annotation
-  with an LP once, a bisection each of its annotations once, and every
-  float solve reads one LP per (annotation, c) it takes; and fallbacks=
+- with them, walks= the LP templates walked (lp._template's cache misses)
+  and lps= the LPs read from them (lp._LP) in each part: each (annotation,
+  mode) is walked once per process, so a part walks only the annotations
+  with an LP that no earlier part walked, and every float solve reads one
+  LP per (annotation, c) it takes; and fallbacks=
   the bisections (search._bisect_max) that an exact decision against a
   steered verdict sent to a second pass with every verdict exact;
 - a sha256 over the formatted certificates of each part that builds them:
@@ -86,14 +87,13 @@ def counted(module, name, calls):
 
 def counted_fallbacks(calls):
     """Add the fallbacks to exact verdicts of every search._bisect_max call
-    to calls["fallbacks"]; the Counter the caller passes keeps its own."""
+    to calls["fallbacks"]."""
     bisect_max = search._bisect_max
 
-    def wrapper(annotations, alpha, tol, mode, counts):
-        before = counts["fallbacks"]
-        answer = bisect_max(annotations, alpha, tol, mode, counts)
-        calls["fallbacks"] += counts["fallbacks"] - before
-        return answer
+    def wrapper(*args):
+        answer, counts = bisect_max(*args)
+        calls["fallbacks"] += counts["fallbacks"]
+        return answer, counts
 
     search._bisect_max = wrapper
 
@@ -103,7 +103,6 @@ def main(out_path: str) -> None:
     counted(search, "linprog", calls)
     counted_fallbacks(calls)
     counted(simplex, "solve", calls)
-    counted(lp, "_template", calls)
     counted(lp, "_LP", calls)
     for module in (rules, search):
         counted(module, "apply_step", calls)
@@ -111,12 +110,16 @@ def main(out_path: str) -> None:
     lines = []
     certs: list = []
     replay_failed = 0
+    walked = 0  # template cache misses before this part
 
     def part_done(name):
+        nonlocal walked
+        misses = lp._template.cache_info().misses
+        walks, walked = misses - walked, misses
         lines.append(
             f"calls {name}: linprog={calls['linprog']} simplex={calls['solve']} "
             f"apply_step={calls['apply_step']} verify_proof={calls['verify_proof']} "
-            f"walks={calls['_template']} lps={calls['_LP']} fallbacks={calls['fallbacks']}"
+            f"walks={walks} lps={calls['_LP']} fallbacks={calls['fallbacks']}"
         )
         calls.clear()
         if certs:
@@ -158,7 +161,7 @@ def main(out_path: str) -> None:
         if "12" in a or "22" in a:
             continue
         decided.clear()
-        best = search._bisect_max([a], F(1), F(1, 10**7), TS_MODE, Counter())
+        best = search._bisect_max([a], F(1), F(1, 10**7), TS_MODE)[0]
         methods = ", ".join(f"{m}={n}" for m, n in sorted(Counter(f.method for f in decided).items()))
         verdicts = hashlib.sha256("".join(f"{f.c} {f.feasible}\n" for f in decided).encode())
         lines.append(f"bisect {a} {None if best is None else best[0]} {methods} {verdicts.hexdigest()}")

@@ -12,7 +12,8 @@ coefficient is +-1 times a monomial in c, alpha and the squiggle guard's ratio
 rho = alpha*c/(alpha*c - 1).  _template walks the annotation once, each
 speedup and slowdown by rules._effect, into an LP whose coefficients are int
 codes for these monomials; _LP reads it at one (alpha, c) through a _Table of
-the codes' values, exact and float, so an annotation is walked once for all c.
+the codes' values, exact and float.  _template is memoized, so each
+(annotation, mode) is walked once per process and read at every (alpha, c).
 The template is the one record of the LP: _LP's exact rows are built from it,
 and the tight point reads its coded terms through the table.
 
@@ -61,7 +62,7 @@ sign, and opt(c0) >= (c0/c1)^k * opt(c1) in bpts when opt(c1) > 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import simplex
 from .kernel import _rule_names
@@ -73,6 +74,10 @@ _MARGIN = 0
 
 _FLOAT_TOL = 1e-9
 _DUAL_TOL = 1e-11  # a row dual below -_DUAL_TOL is nonzero
+
+# Templates kept per process: every one of a length-12 scan (1,581 of
+# ~7-12 KB each), at most ~25 MB.
+_TEMPLATES = 2048
 
 
 # --- The LP of an annotation ------------------------------------------------
@@ -156,8 +161,10 @@ class _Template:
         self._row([*e, _MARGIN], [*e.values(), -1])
 
 
+@lru_cache(maxsize=_TEMPLATES)
 def _template(a: str, mode: str) -> _Template:
-    """The LP template of the annotation's homogeneous rule semantics."""
+    """The LP template of the annotation's homogeneous rule semantics.  Every
+    caller shares it, so nothing changes it after this walk."""
     lp = _Template(a)
     blocks: list[tuple] = []  # (a value, b value)
     d = {_CONST: 1}
@@ -366,15 +373,12 @@ def _decide(lp: _LP | None, sol) -> tuple[bool, Fraction | None, list[Fraction],
     return ok, vertex.value, [vertex.point[i] for i in lp.xvars] if ok else [], "vertex"
 
 
-def _lp_of(a: str, mode: str, table: _Table, templates: dict) -> _LP | None:
+def _lp_of(a: str, mode: str, table: _Table) -> _LP | None:
     """The annotation's LP at the table's (alpha, c), or None when its margin
     is <= 0 whatever the speedup parameters: a squiggle's precondition
     1/alpha < c < (1+alpha)/alpha fails, or a squiggle follows a speedup
     ('12'), where the block's a is 0: the guard row gives margin <= -d, the
-    speedup's row d >= margin.  templates maps annotations to their
-    templates; one missing is walked and added."""
+    speedup's row d >= margin."""
     if "12" in a or ("2" in a and not _squiggle_window(table.alpha, table.cc)):
         return None
-    if (template := templates.get(a)) is None:
-        template = templates[a] = _template(a, mode)
-    return _LP(template, table)
+    return _LP(_template(a, mode), table)

@@ -152,9 +152,12 @@ class Feasibility:
     feasible: bool
     margin: Fraction | None
     witness: list[Fraction]
-    replay_ok: bool
-    certificate: ProofCertificate | None
+    certificate: ProofCertificate | None  # the replay's, when it reached a contradiction
     method: str
+
+    @property
+    def replay_ok(self) -> bool:
+        return self.certificate is not None
 
 
 def _replay(a, alpha, cc, mode, xs, margin):
@@ -164,14 +167,15 @@ def _replay(a, alpha, cc, mode, xs, margin):
     witness replays the LP walk times d0, and d0 >= 2/(alpha*margin) keeps
     every strict precondition 2/alpha clear of its bound.  A larger d0 only
     scales the same chain of classes, so a witness that fails here fails the
-    tight semantics (the squiggle guard row, see lp._template)."""
+    tight semantics (the squiggle guard row, see lp._template).  The
+    certificate when the rules reach a contradiction, else None."""
     d0 = Fraction(max(10**6, int(2 / (alpha * margin)) + 1))
     try:
         steps = _annotation_steps(a, mode, [x * d0 for x in xs])
         cert, report = _run_steps(alpha, cc, mode, d0, steps)
     except (RuleError, ValueError):
-        return False, None
-    return (True, cert) if report.contradiction else (False, None)
+        return None
+    return cert if report.contradiction else None
 
 
 def _check_annotation(a: str, mode: str):
@@ -181,13 +185,11 @@ def _check_annotation(a: str, mode: str):
         raise ValueError(f"annotation {a!r} is not a valid complete {mode} annotation")
 
 
-def _solve_batch(pairs, alpha, mode, templates) -> list[tuple]:
+def _solve_batch(pairs, alpha, mode) -> list[tuple]:
     """(LP or None, float solution) of each (annotation, c) pair, from one
-    float solve of all the LPs.  Each LP is its annotation's template in
-    templates (walked there at its first use) read through one coefficient
-    table per c."""
+    float solve of all the LPs, read through one coefficient table per c."""
     tables = {cc: _Table(alpha, cc) for cc in dict.fromkeys(cc for _, cc in pairs)}
-    lps = [_lp_of(a, mode, tables[cc], templates) for a, cc in pairs]
+    lps = [_lp_of(a, mode, tables[cc]) for a, cc in pairs]
     sols = iter(_solve_floats([lp for lp in lps if lp is not None]))
     return [(lp, None if lp is None else next(sols)) for lp in lps]
 
@@ -205,23 +207,23 @@ def feasible(
     if _solved is None:
         _check_annotation(a, mode)
         _check_params(alpha, cc=cc)
-        _solved = _solve_batch([(a, cc)], alpha, mode, {})[0]
+        _solved = _solve_batch([(a, cc)], alpha, mode)[0]
 
     lp, sol = _solved
     ok, margin, xs, method = _decide(lp, sol)
-    replay_ok, cert = False, None
+    cert = None
     if ok and replay:
         tight = margin  # a re-solved witness replays at its own tight margin
         if method == "vertex" and (w := _vertex_witness(lp, margin)) is not None and w[1] > 0:
             xs, tight = w
-        replay_ok, cert = _replay(a, alpha, cc, mode, xs, tight)
-    return Feasibility(a, alpha, cc, mode, ok, margin, xs, replay_ok, cert, method)
+        cert = _replay(a, alpha, cc, mode, xs, tight)
+    return Feasibility(a, alpha, cc, mode, ok, margin, xs, cert, method)
 
 
 def _decide_batch(pairs, alpha, mode, replay):
     """feasible(a, alpha, c, mode, replay=replay) of each (a, c) pair, all
     from one float solve."""
-    solved = _solve_batch(pairs, alpha, mode, {})
+    solved = _solve_batch(pairs, alpha, mode)
     return [
         feasible(a, alpha, cc, mode, replay=replay, _solved=s) for (a, cc), s in zip(pairs, solved)
     ]
@@ -266,11 +268,11 @@ class _Steered(Exception):
     bisection."""
 
 
-def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
-    """(c*, annotation, the Feasibility at its last feasible c) of the
-    annotation with the largest c*, the first in order among ties; None when
-    each is infeasible near c = 1.  counts gains the exact decisions made,
-    the float solves and any fallback to exact verdicts.
+def _bisect_max(annotations, alpha, tol, mode):
+    """((c*, annotation, the Feasibility at its last feasible c) of the
+    annotation with the largest c*, the first in order among ties, or None
+    when each is infeasible near c = 1; the Counter of the exact decisions
+    made, the float solves and any fallback to exact verdicts).
 
     Each annotation is judged at its own lo, and the live (feasible) ones at
     hi.  Then one walk bisects one bracket, from the lo of an annotation
@@ -295,17 +297,15 @@ def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
     predicts if each live annotation is feasible below its _c_star_estimate:
     whole levels while they fit in _BATCH LPs, at least one.  The
     predictions change only which LPs share a float solve.  The first float
-    solve takes every annotation at both its lo and hi.  Each annotation is
-    walked into its LP template once, at its first solve, and read at every
-    c it is solved at."""
+    solve takes every annotation at both its lo and hi."""
     hi = (1 + alpha) / alpha
+    counts = Counter()
 
     def lo_of(a):
         base = max(Fraction(1), 1 / alpha) if "2" in a else Fraction(1)
         return base + Fraction(1, 1000)
 
     los = {a: lo_of(a) for a in annotations}
-    templates = {}  # annotation -> its LP template, walked once
 
     def walk(lo, hi, live, judge):
         """(c*, live) where the bisection of [lo, hi] stops: while hi - lo >
@@ -341,7 +341,7 @@ def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
             if any(p not in solved for p in pairs):
                 solved.clear()
                 todo = path() if path else pairs
-                batch = _solve_batch(todo, alpha, mode, templates)
+                batch = _solve_batch(todo, alpha, mode)
                 counts["float_solves"] += any(lp is not None for lp, _ in batch)
                 for (a, c), (lp, sol) in zip(todo, batch):
                     solved[a, c] = lp, sol
@@ -402,15 +402,10 @@ def _bisect_max(annotations, alpha, tol, mode, counts: Counter):
         return (c_star, live[0], certify(live[0], True)) if live else None
 
     try:
-        return bisect(steered=True)
+        return bisect(steered=True), counts
     except _Steered:
         counts["fallbacks"] += 1
-        return bisect(steered=False)
-
-
-def _bisect_counted(annotations, alpha, tol, mode):
-    """_bisect_max's answer and the Counter of its decisions and float solves."""
-    return _bisect_max(annotations, alpha, tol, mode, counts := Counter()), counts
+        return bisect(steered=False), counts
 
 
 def best_exponent(
@@ -421,7 +416,7 @@ def best_exponent(
     alpha, tol = Fraction(alpha), Fraction(tol)
     _check_annotation(a, mode)
     _check_params(alpha, tol=tol)
-    best = _bisect_max([a], alpha, tol, mode, Counter())
+    best = _bisect_max([a], alpha, tol, mode)[0]
     return None if best is None else best[0]
 
 
@@ -452,13 +447,13 @@ def search_best(
     alpha, tol = Fraction(alpha), Fraction(tol)
     _check_params(alpha, tol=tol)
     annotations = list(enumerate_annotations(max_len, mode))
-    batches = _map_batches(_bisect_counted, annotations, workers, alpha, tol, mode)
+    batches = _map_batches(_bisect_max, annotations, workers, alpha, tol, mode)
     best = max((b for b, _ in batches if b is not None), key=lambda b: b[0], default=None)
     if best is None:
         return None
     c_star, a, f = best
-    ok, cert = _replay(a, alpha, f.c, mode, f.witness, f.margin)
-    if not ok:  # the bisection kept a vertex the rules reject: decide again
+    cert = _replay(a, alpha, f.c, mode, f.witness, f.margin)
+    if cert is None:  # the bisection kept a vertex the rules reject: decide again
         cert = feasible(a, alpha, f.c, mode).certificate
     counts = sum((n for _, n in batches), Counter())
     return SearchResult(c_star, a, cert, counts["decisions"], counts["float_solves"])

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from atlb import search
+from atlb import lp, search
 
 
 @pytest.fixture
@@ -22,3 +22,14 @@ def force_feasible(monkeypatch):
         monkeypatch.setattr(search, "feasible", forced)
 
     return force
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The annotations lp._template walks from now on, in order.  Its cache
+    is emptied first, so each is a cache miss: a lookup it answers from the
+    cache is not walked."""
+    lp._template.cache_clear()
+    annotations, template = [], lp._Template
+    monkeypatch.setattr(lp, "_Template", lambda a: annotations.append(a) or template(a))
+    return annotations

@@ -2,7 +2,6 @@
 a coefficient table, against the Fraction walk of tests/lp_walk.py."""
 
 import random
-from collections import Counter
 from fractions import Fraction
 
 import lp_walk
@@ -74,16 +73,15 @@ def _same_stack(lps, oracle_lps):
 
 @pytest.mark.parametrize("mode, max_len", [(TS_MODE, 9), (BPTS_MODE, 11)])
 @pytest.mark.parametrize("alpha", ALPHAS, ids=str)
-def test_template_instances_match_fraction_walk(mode, max_len, alpha):
+def test_template_instances_match_fraction_walk(mode, max_len, alpha, walked):
     # every annotation with an LP, walked once and read at each c of the
     # grid: the same LP as the Fraction walk at that c, and the same float
     # batches
-    templates: dict = {}
     for cc in _grid(alpha):
         table = lp._Table(alpha, cc)
         pairs = []
         for a in enumerate_annotations(max_len, mode):
-            got = lp._lp_of(a, mode, table, templates)
+            got = lp._lp_of(a, mode, table)
             if got is None:
                 continue
             want = lp_walk.build_lp(a, alpha, cc, mode)
@@ -92,7 +90,7 @@ def test_template_instances_match_fraction_walk(mode, max_len, alpha):
         assert pairs
         for i in range(0, len(pairs), search._BATCH):
             _same_stack(*zip(*pairs[i : i + search._BATCH]))
-    assert all("12" not in a for a in templates)
+    assert len(set(walked)) == len(walked) and all("12" not in a for a in walked)
 
 
 @given(lp_decisions())
@@ -189,7 +187,7 @@ def test_lp_relaxes_the_rules(mode, max_len):
     rng = random.Random(27)
     checked, refuted = 0, {}
     for a in enumerate_annotations(max_len, mode):
-        if "12" in a or (best := search._bisect_max([a], alpha, tol, mode, Counter())) is None:
+        if "12" in a or (best := search._bisect_max([a], alpha, tol, mode)[0]) is None:
             continue
         cc = best[0] + tol
         if "2" in a and not rules._squiggle_window(alpha, cc):
@@ -207,13 +205,13 @@ def test_lp_relaxes_the_rules(mode, max_len):
     assert checked > 600
 
 
-def test_instance_shares_its_template():
-    # one walk serves every c: an instance holds its template, not a copy,
-    # and builds its exact rows only when they are read
-    templates: dict = {}
-    lps = [lp._lp_of("110020", TS_MODE, lp._Table(F(1), cc), templates) for cc in (F(3, 2), F(8, 5))]
-    assert list(templates) == ["110020"]
-    assert lps[0].template is lps[1].template is templates["110020"]
+def test_instance_shares_its_template(walked):
+    # one walk serves every c: an instance holds the memoized template, not
+    # a copy, and builds its exact rows only when they are read
+    lps = [lp._lp_of("110020", TS_MODE, lp._Table(F(1), cc)) for cc in (F(3, 2), F(8, 5))]
+    assert walked == ["110020"]
+    assert lps[0].template is lps[1].template is lp._template("110020", TS_MODE)
+    assert lp._template.cache_info().misses == 1
     assert "rows" not in vars(lps[0])
     assert lps[0].rows != lps[1].rows and "rows" in vars(lps[0])
 
@@ -237,4 +235,4 @@ def test_template_refuses_a_shared_variable():
     # coefficient of one monomial, and no LP either ('12')
     with pytest.raises(ValueError, match="no LP template for '12020'"):
         lp._template("12020", TS_MODE)
-    assert lp._lp_of("12020", TS_MODE, lp._Table(F(1), F(3, 2)), {}) is None
+    assert lp._lp_of("12020", TS_MODE, lp._Table(F(1), F(3, 2))) is None

@@ -66,7 +66,7 @@ def _oracle_margin(lp):
 def _solve_one(job):
     """(LP, float solution) of one (annotation, alpha, c, mode) decision."""
     a, alpha, cc, mode = job
-    return search._solve_batch([(a, cc)], alpha, mode, {})[0]
+    return search._solve_batch([(a, cc)], alpha, mode)[0]
 
 
 def _lp_optimum(lp, shift=F(10)):
@@ -550,11 +550,11 @@ class TestBestExponent:
         bisect_max = search._bisect_max
 
         def non_tight(*args):
-            best = bisect_max(*args)
+            best, counts = bisect_max(*args)
             if best is not None:
                 c_star, a, f = best
                 best = c_star, a, dataclasses.replace(f, witness=[x / 1000 for x in f.witness])
-            return best
+            return best, counts
 
         monkeypatch.setattr(search, "_bisect_max", non_tight)
         res = search_best(5, F(1), tol=F(1, 10**4))
@@ -1050,7 +1050,7 @@ def _bisections(annotations, alpha, tol, mode, monkeypatch):
     runs = []
 
     def steered(*args):
-        return search._bisect_max(*args, Counter())
+        return search._bisect_max(*args)[0]
 
     for bisect_max in (serial_bisect.bisect_max, steered):
         decided = _record_decisions(monkeypatch)
@@ -1122,8 +1122,8 @@ def test_wrong_float_verdict_falls_back_to_exact_bisection(annotations, alpha, m
         return sols
 
     monkeypatch.setattr(search, "_solve_floats", flipped)
-    counts = Counter()
-    assert search._bisect_max(annotations, alpha, tol, mode, counts)[:2] == (c_star, winner)
+    best, counts = search._bisect_max(annotations, alpha, tol, mode)
+    assert best[:2] == (c_star, winner)
     assert flips and min(flips) > search._FLOAT_TOL
     assert counts["fallbacks"] == 1
 
@@ -1183,8 +1183,8 @@ def test_true_estimate_predicts_the_whole_path(a, alpha, tol, mode, monkeypatch)
     ends, path = solves[:2], [p for level in solves[2:] for p in level]
     solves.clear()
     monkeypatch.setattr(search, "_c_star_estimate", lambda margins: float(c_star))
-    counts = Counter()
-    assert search._bisect_max([a], alpha, tol, mode, counts)[0] == c_star
+    best, counts = search._bisect_max([a], alpha, tol, mode)
+    assert best[0] == c_star
     assert counts["float_solves"] == len(solves) == 2
     assert solves == [ends[0] + ends[1], path]
 
@@ -1222,17 +1222,10 @@ def test_failed_float_solves_keep_search_answer(monkeypatch):
     assert len(starts) >= sum(f.method == "vertex" for f in decided) > 0
 
 
-def _count_walks(monkeypatch) -> list:
-    """Each annotation lp._template walks from now on, in order."""
-    walked, template = [], atlb.lp._template
-    monkeypatch.setattr(atlb.lp, "_template", lambda a, mode: walked.append(a) or template(a, mode))
-    return walked
-
-
-def test_search_walks_each_annotation_once_per_batch(monkeypatch):
-    # _bisect_max walks each annotation at its first solve and reads the
-    # template at every c after: 55 annotations in two batches, ~4 LPs each
-    walked = _count_walks(monkeypatch)
+def test_search_walks_each_annotation_once_per_batch(walked, monkeypatch):
+    # _bisect_max walks each annotation at its first solve in the process
+    # and reads the template at every c after: 55 annotations in two
+    # batches, ~4 LPs each
     batches, bisect_max = [], search._bisect_max
 
     def recorded(annotations, *args):
@@ -1247,14 +1240,39 @@ def test_search_walks_each_annotation_once_per_batch(monkeypatch):
     for annotations, batch_walks in batches:
         assert len(set(batch_walks)) == len(batch_walks)
         assert set(batch_walks) <= {a for a in annotations if "12" not in a}
+    assert len(walked) == atlb.lp._template.cache_info().misses
     assert res.decisions > 2 * len(walked)
 
 
-def test_scan_walks_each_lp_annotation_once(monkeypatch):
-    walked = _count_walks(monkeypatch)
+def test_scan_walks_each_lp_annotation_once(walked):
     report = optimality_scan(F(1), F(3, 2), 8)
     assert sorted(walked) == sorted(e.annotation for e in report.entries if "12" not in e.annotation)
     assert len(walked) == sum(e.method != "precondition" for e in report.entries)
+
+
+def test_second_scan_walks_no_template(walked):
+    # the templates outlive a call: a scan at another c reads them all
+    first = optimality_scan(F(1), F(1517, 1000), 8)
+    assert len(walked) == sum(e.method != "precondition" for e in first.entries) > 0
+    walked.clear()
+    second = optimality_scan(F(1), F(1519, 1000), 8)
+    assert walked == [] and second.total == first.total
+
+
+def test_searches_walk_each_lp_annotation_once(walked):
+    # search-bisect's round: four bisections over the same annotations, one
+    # walk of each that has an LP, at its first solve
+    for alpha in (F(2, 3), F(4, 5), F(9, 10), F(1)):
+        search_best(6, alpha)
+    assert sorted(walked) == sorted(a for a in enumerate_annotations(6, TS_MODE) if "12" not in a)
+
+
+def test_template_cache_is_bounded():
+    # a finite cache that holds at least a batch's templates, and every one
+    # of a length-12 scan
+    maxsize = atlb.lp._template.cache_parameters()["maxsize"]
+    assert maxsize is not None and maxsize >= search._BATCH
+    assert sum("12" not in a for a in enumerate_annotations(12, TS_MODE)) <= maxsize
 
 
 def test_search_counts_independent_of_workers():
