@@ -38,13 +38,15 @@ writes to OUT, one line each:
   path its float margins predict, and its first one takes each annotation
   at both ends of the bracket: the searches make 114 HiGHS calls and the
   bisections 845 (528 and 4,288 at one float solve per midpoint);
-- with them, walks= the LP templates walked (lp._template's cache misses)
-  and lps= the LPs read from them (lp._LP) in each part: each (annotation,
-  mode) is walked once per process, so a part walks only the annotations
-  with an LP that no earlier part walked, and every float solve reads one
-  LP per (annotation, c) it takes; and fallbacks=
-  the bisections (search._bisect_max) that an exact decision against a
-  steered verdict sent to a second pass with every verdict exact;
+- with them, decisions= the decisions (search.feasible calls) of each part,
+  so that a second decision of any (annotation, c) shows; walks= the LP
+  templates walked (lp._template's cache misses) and lps= the LPs read
+  from them (lp._LP) in each part: each (annotation, mode) is walked once
+  per process, so a part walks only the annotations with an LP that no
+  earlier part walked, and every float solve reads one LP per (annotation,
+  c) it takes; and fallbacks= the bisections (search._bisect_max) that an
+  exact decision against a steered verdict sent to a second pass with
+  every verdict exact;
 - a sha256 over the formatted certificates of each part that builds them:
   the sweep's replayed entries, the search winners, and the named proofs
   (the bpts proofs at c in {7/5, 3/2} and good_proof at three (alpha, c, k));
@@ -100,6 +102,7 @@ def counted_fallbacks(calls):
 
 def main(out_path: str) -> None:
     calls: Counter = Counter()
+    counted(search, "feasible", calls)
     counted(search, "linprog", calls)
     counted_fallbacks(calls)
     counted(simplex, "solve", calls)
@@ -117,8 +120,9 @@ def main(out_path: str) -> None:
         misses = lp._template.cache_info().misses
         walks, walked = misses - walked, misses
         lines.append(
-            f"calls {name}: linprog={calls['linprog']} simplex={calls['solve']} "
-            f"apply_step={calls['apply_step']} verify_proof={calls['verify_proof']} "
+            f"calls {name}: decisions={calls['feasible']} linprog={calls['linprog']} "
+            f"simplex={calls['solve']} apply_step={calls['apply_step']} "
+            f"verify_proof={calls['verify_proof']} "
             f"walks={walks} lps={calls['_LP']} fallbacks={calls['fallbacks']}"
         )
         calls.clear()

@@ -30,8 +30,8 @@ of the float solution's active set, and pivots on from there when that
 vertex is not optimal; it starts cold, at the crash vertex (every speedup
 parameter 0), when the warm point is no feasible vertex or there is no
 float solution.  A feasible optimum's witness is its own speedup
-parameters; search.feasible, when it replays, takes those of one float
-re-solve toward the tight maxima instead if their tight margin is positive.
+parameters; search._replay takes those of one float re-solve toward the
+tight maxima instead if their tight margin is positive.
 Neither numpy nor scipy is imported, so a "no" rests on this module and
 simplex alone.
 
@@ -246,11 +246,6 @@ class _LP:
         for r, i, code in zip(t.coo_rows, t.coo_cols, t.coo_codes):
             rows[r][i] = exact[code]
         return rows
-
-
-def _build_lp(a: str, alpha: Fraction, cc: Fraction, mode: str) -> _LP:
-    """The LP of the annotation's homogeneous rule semantics at (alpha, c)."""
-    return _LP(_template(a, mode), _Table(alpha, cc))
 
 
 def _tight_point(lp: _LP, xs: list[Fraction]) -> dict[int, Fraction]:

@@ -22,8 +22,8 @@ exactly, without replay, only where it left, and the winner at its last
 "yes", so the searches count exact decisions only.  One float solve takes
 the LPs of the stretch of path that the same walk predicts from the float
 margins (each c* interpolated from HiGHS's margins); a wrong prediction
-wastes only float LPs.  search_best replays only the winner's last feasible
-witness, and decides the winner again if the rules reject it.
+wastes only float LPs.  search_best replays only the winner's last "yes",
+from its LP, as a scan replays an entry (_replay), without deciding it again.
 """
 
 from __future__ import annotations
@@ -160,22 +160,28 @@ class Feasibility:
         return self.certificate is not None
 
 
-def _replay(a, alpha, cc, mode, xs, margin):
-    """Replay the witness through the exact rules at one concrete scale d0.
+def _replay(f: Feasibility, lp: _LP | None = None) -> tuple[list[Fraction], ProofCertificate | None]:
+    """(witness, certificate or None) of the feasible decision f: a "vertex"
+    verdict's witness re-solved (_vertex_witness, of lp or else of f's LP) if
+    its tight margin is > 0, replayed through the exact rules at a scale d0.
 
     The rules are homogeneous above their constant-1 floors: scaled by d0, a
     witness replays the LP walk times d0, and d0 >= 2/(alpha*margin) keeps
     every strict precondition 2/alpha clear of its bound.  A larger d0 only
     scales the same chain of classes, so a witness that fails here fails the
-    tight semantics (the squiggle guard row, see lp._template).  The
-    certificate when the rules reach a contradiction, else None."""
-    d0 = Fraction(max(10**6, int(2 / (alpha * margin)) + 1))
+    tight semantics (the squiggle guard row, see lp._template)."""
+    xs, tight = f.witness, f.margin  # a re-solved witness replays at its own tight margin
+    if f.method == "vertex":
+        lp = lp or _lp_of(f.annotation, f.mode, _Table(f.alpha, f.c))
+        if (w := _vertex_witness(lp, f.margin)) is not None and w[1] > 0:
+            xs, tight = w
+    d0 = Fraction(max(10**6, int(2 / (f.alpha * tight)) + 1))
     try:
-        steps = _annotation_steps(a, mode, [x * d0 for x in xs])
-        cert, report = _run_steps(alpha, cc, mode, d0, steps)
+        steps = _annotation_steps(f.annotation, f.mode, [x * d0 for x in xs])
+        cert, report = _run_steps(f.alpha, f.c, f.mode, d0, steps)
     except (RuleError, ValueError):
-        return None
-    return cert if report.contradiction else None
+        return xs, None
+    return xs, cert if report.contradiction else None
 
 
 def _check_annotation(a: str, mode: str):
@@ -211,13 +217,10 @@ def feasible(
 
     lp, sol = _solved
     ok, margin, xs, method = _decide(lp, sol)
-    cert = None
+    f = Feasibility(a, alpha, cc, mode, ok, margin, xs, None, method)
     if ok and replay:
-        tight = margin  # a re-solved witness replays at its own tight margin
-        if method == "vertex" and (w := _vertex_witness(lp, margin)) is not None and w[1] > 0:
-            xs, tight = w
-        cert = _replay(a, alpha, cc, mode, xs, tight)
-    return Feasibility(a, alpha, cc, mode, ok, margin, xs, cert, method)
+        f.witness, f.certificate = _replay(f, lp)
+    return f
 
 
 def _decide_batch(pairs, alpha, mode, replay):
@@ -439,8 +442,7 @@ def search_best(
 ) -> SearchResult | None:
     """Maximize best_exponent over all annotations up to max_len, by one
     bisection of the maximum per batch (_bisect_max), and replay the winner's
-    last feasible witness; when the rules reject it (an LP vertex above the
-    tight maxima), decide the winner again at that c with replay.
+    last feasible decision from its LP, as a scan replays an entry (_replay).
 
     Ties break deterministically toward the shortest, then lexicographically
     smallest annotation (the enumeration order)."""
@@ -452,11 +454,8 @@ def search_best(
     if best is None:
         return None
     c_star, a, f = best
-    cert = _replay(a, alpha, f.c, mode, f.witness, f.margin)
-    if cert is None:  # the bisection kept a vertex the rules reject: decide again
-        cert = feasible(a, alpha, f.c, mode).certificate
     counts = sum((n for _, n in batches), Counter())
-    return SearchResult(c_star, a, cert, counts["decisions"], counts["float_solves"])
+    return SearchResult(c_star, a, _replay(f)[1], counts["decisions"], counts["float_solves"])
 
 
 # --- Optimality scan --------------------------------------------------------

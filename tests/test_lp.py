@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import block_diag, csc_array
-from test_search import lp_decisions
+from test_search import _build_lp, lp_decisions
 
 from atlb import lp, proofs, rules, search, simplex
 from atlb.kernel import BPTS_MODE, TS_MODE, AltClass, _verifier, enumerate_annotations, validate_annotation
@@ -96,7 +96,7 @@ def test_template_instances_match_fraction_walk(mode, max_len, alpha, walked):
 @given(lp_decisions())
 @settings(max_examples=60, deadline=None)
 def test_built_lp_matches_fraction_walk(job):
-    got, want = lp._build_lp(*job), lp_walk.build_lp(*job)
+    got, want = _build_lp(*job), lp_walk.build_lp(*job)
     _same_lp(got, want)
     _same_stack([got], [want])
 
@@ -111,7 +111,7 @@ def c_pairs(draw):
 
 
 def _optimum(a, alpha, cc, mode) -> simplex.Vertex:
-    built = lp._build_lp(a, alpha, cc, mode)
+    built = _build_lp(a, alpha, cc, mode)
     return lp._exact_optimum(built, lp._crash_start(built))
 
 
@@ -130,7 +130,7 @@ def test_feasibility_is_monotone_in_c(job):
         assert opt0.value >= opt1.value
         if opt1.value > 0:
             point = {simplex.CONST: 1, **dict(enumerate(opt1.point))}
-            assert all(simplex._value(row, point) >= 0 for row in lp._build_lp(a, alpha, c0, mode).rows)
+            assert all(simplex._value(row, point) >= 0 for row in _build_lp(a, alpha, c0, mode).rows)
     elif opt1.value > 0:
         k = sum(h == 0 for _, h in validate_annotation(a, mode).heights[1:-1])
         assert opt0.value >= (c0 / c1) ** k * opt1.value
@@ -192,7 +192,7 @@ def test_lp_relaxes_the_rules(mode, max_len):
         cc = best[0] + tol
         if "2" in a and not rules._squiggle_window(alpha, cc):
             continue
-        built = lp._build_lp(a, alpha, cc, mode)
+        built = _build_lp(a, alpha, cc, mode)
         opt = lp._exact_optimum(built, lp._crash_start(built))
         points = [[opt.point[i] for i in built.xvars], *_dropped_term_optima(built, opt.point)]
         points += [[x * F(rng.randint(50, 150), 100) for x in xs] for xs in points for _ in range(5)]

@@ -26,12 +26,14 @@ from atlb import proofs, rules, search, simplex
 from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
 from atlb.lp import (
     _CONST,
+    _LP,
     _MARGIN,
-    _build_lp,
     _crash_start,
     _decide,
     _dual_bound,
     _exact_optimum,
+    _Table,
+    _template,
     _tight_point,
     _warm_start,
     _witness,
@@ -50,6 +52,11 @@ from atlb.rules import RuleError, RuleStep, format_certificate, verify_proof
 from atlb.search import best_exponent, feasible, optimality_scan, search_best
 
 F = Fraction
+
+
+def _build_lp(a, alpha, cc, mode):
+    """The annotation's LP at (alpha, c), read from its memoized template."""
+    return _LP(_template(a, mode), _Table(alpha, cc))
 
 
 def _oracle_margin(lp):
@@ -544,22 +551,29 @@ class TestBestExponent:
         with pytest.raises(search.BracketError, match="not monotone for '100'"):
             search_best(5, F(1))
 
-    def test_winner_redecided_when_kept_witness_fails_replay(self, monkeypatch):
-        # a replay=False bisection may keep an optimal vertex above the tight
-        # maxima; search_best then decides the winner again, with replay
-        bisect_max = search._bisect_max
+    def test_vertex_winner_certified_from_its_lp(self, monkeypatch):
+        # a "vertex" winner is certified as a scan entry is, from its LP:
+        # one witness re-solve and one replay, no second decision
+        a, cc = "10102100", F(8, 5)
+        f = feasible(a, F(1), cc, replay=False)
+        assert f.method == "vertex"
+        best = (cc, a, f), Counter()
+        monkeypatch.setattr(search, "_bisect_max", lambda *args: best)
+        calls = Counter()
 
-        def non_tight(*args):
-            best, counts = bisect_max(*args)
-            if best is not None:
-                c_star, a, f = best
-                best = c_star, a, dataclasses.replace(f, witness=[x / 1000 for x in f.witness])
-            return best, counts
+        def counted(module, name):
+            orig = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, **kw: calls.update([name]) or orig(*args, **kw))
 
-        monkeypatch.setattr(search, "_bisect_max", non_tight)
-        res = search_best(5, F(1), tol=F(1, 10**4))
-        rep = verify_proof(res.certificate)
-        assert rep.valid and rep.contradiction
+        counted(search, "feasible")
+        counted(search, "linprog")
+        counted(simplex, "solve")
+        res = search_best(3, F(1))
+        assert (res.best_c, res.annotation) == (cc, a)
+        assert calls == Counter(linprog=1)  # the re-solve: no decision, no simplex
+        monkeypatch.undo()
+        want = feasible(a, F(1), cc).certificate
+        assert format_certificate(res.certificate) == format_certificate(want)
 
     def test_search_best_length5_beats_length3(self):
         res = search_best(5, F(1), tol=F(1, 10**4))
