@@ -51,7 +51,10 @@ writes to OUT, one line each:
   the sweep's replayed entries, the search winners, and the named proofs
   (the bpts proofs at c in {7/5, 3/2} and good_proof at three (alpha, c, k));
   the proof at c = 14999/10000 is left out, as its numbers pass the
-  int-to-str digit limit.
+  int-to-str digit limit.  Each certificate is formatted, parsed back
+  (rules.parse_certificate) and formatted again before it is hashed, so every
+  one passes through the parser; the digest is that of the certificates
+  themselves as long as that round trip is the identity.
 
 Run it in a checkout of each tree and diff the two files.  It takes about
 11 s on a 2-vCPU Xeon.
@@ -66,7 +69,7 @@ from fractions import Fraction
 
 from atlb import lp, proofs, rules, search, simplex
 from atlb.kernel import BPTS_MODE, TS_MODE, enumerate_annotations
-from atlb.rules import format_certificate, verify_proof
+from atlb.rules import format_certificate, parse_certificate, verify_proof
 
 F = Fraction
 ALPHAS = (F(1), F(2, 3), F(4, 5))
@@ -127,7 +130,8 @@ def main(out_path: str) -> None:
         )
         calls.clear()
         if certs:
-            digest = hashlib.sha256("".join(map(format_certificate, certs)).encode()).hexdigest()
+            texts = (format_certificate(parse_certificate(format_certificate(c))) for c in certs)
+            digest = hashlib.sha256("".join(texts).encode()).hexdigest()
             lines.append(f"sha256 {name}: {digest} ({len(certs)} certificates)")
             certs.clear()
 

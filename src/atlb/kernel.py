@@ -101,10 +101,6 @@ class AltClass:
                     f"(both {self.blocks[i].kind})"
                 )
 
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
-
     def __str__(self) -> str:
         return format_class(self)
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .analytics import _bisect, largest_root_cubic, p_alpha
 from .kernel import BPTS_MODE, TS_MODE, AltClass, _rule_names, _verifier
 from .rules import (
+    SPEEDUP_RULES,
     ProofCertificate,
     ProofReport,
     RuleError,
@@ -40,7 +41,7 @@ def annotation_certificate(
 def _annotation_steps(a: str, mode: str, xs: list[Fraction]) -> list[RuleStep]:
     """The annotation's rule steps, the speedups taking xs in turn."""
     xs = iter(xs)
-    return [RuleStep(r, next(xs) if r.startswith("speedup") else None) for r in _rule_names(a, mode)]
+    return [RuleStep(r, next(xs) if r in SPEEDUP_RULES else None) for r in _rule_names(a, mode)]
 
 
 def _run_steps(alpha, cc, mode, d0, steps) -> tuple[ProofCertificate, ProofReport]:
@@ -68,33 +69,36 @@ def grover_certificate(cert: ProofCertificate) -> ProofCertificate:
 # --- Named proof constructors ----------------------------------------------
 
 
-def _geometric(k: int, cc: Fraction, slack: Fraction, base: Fraction):
-    """(r, scale, least d) of the speedups x_i = r^(i-1) * d/scale with
-    r = (1-1/k)/(c*slack).
+def _geometric_proof(k: int, a: str, alpha, cc, mode: str, d, slack, base, error: str | None):
+    """The certificate of the annotation a, whose k speedups come first, and
+    the report of its one derivation, with x_i = r^(i-1) * d/scale and
+    r = (1-1/k)/(c*slack).  ValueError if k < 1, then with error if given.
 
     scale is base when the speedups fit into d, otherwise just large enough
-    that they do (a contradiction then holds a fortiori); from the least d
-    on every x_i is at least 2, above the constant floors."""
+    that they do (a contradiction then holds a fortiori); d (100 if None) is
+    raised to the least d from which every x_i is at least 2, above the
+    constant floors."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if error:
+        raise ValueError(error)
     r = (1 - Fraction(1, k)) / (cc * slack)
     s = sum(r**i for i in range(k))
     scale = base if s < base else s + r ** (k - 1) / (2 * slack)
-    return r, scale, 2 * scale / min(Fraction(1), r) ** (k - 1)
+    least_d = 2 * scale / min(Fraction(1), r) ** (k - 1)
+    d = max(Fraction(d) if d is not None else Fraction(100), least_d)
+    xs = [d / scale * r**i for i in range(k)]
+    return _run_steps(alpha, cc, mode, d, _annotation_steps(a, mode, xs))
 
 
 def _good_proof(alpha, cc, k: int, d) -> tuple[ProofCertificate, ProofReport]:
     """good_proof's certificate and the report of its one derivation."""
     alpha, cc = Fraction(alpha), Fraction(cc)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    error = None
     if not _squiggle_window(alpha, cc):
-        raise ValueError(
-            f"need 1/alpha < c < (1+alpha)/alpha for the squiggle rule: alpha={alpha}, c={cc}"
-        )
-    tau, scale, min_d = _geometric(k, cc, alpha * cc - 1, alpha * cc * cc)
-    d = max(Fraction(d) if d is not None else Fraction(100), min_d)
-    xs = [d / scale * tau**i for i in range(k)]
-    steps = _annotation_steps("1" * k + "0" + "20" * k, TS_MODE, xs)
-    return _run_steps(alpha, cc, TS_MODE, d, steps)
+        error = f"need 1/alpha < c < (1+alpha)/alpha for the squiggle rule: alpha={alpha}, c={cc}"
+    a = "1" * k + "0" + "20" * k
+    return _geometric_proof(k, a, alpha, cc, TS_MODE, d, alpha * cc - 1, alpha * cc * cc, error)
 
 
 def good_proof(
@@ -151,14 +155,9 @@ def bpts_proof(k: int, cc: Fraction, d: Fraction | None = None) -> ProofCertific
     x_1 is d/c^3 when the speedups fit into d, otherwise scaled down just
     enough; d is auto-scaled above the constant floors."""
     cc = Fraction(cc)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if cc <= 1:
-        raise ValueError(f"need c > 1: c={cc}")
-    rho, scale, min_d = _geometric(k, cc, 1, cc**3)
-    d = max(Fraction(d) if d is not None else Fraction(100), min_d)
-    xs = [d / scale * rho**i for i in range(k)]
-    return annotation_certificate("1" * k + "0" * (k + 2), Fraction(1), cc, BPTS_MODE, xs, d)
+    error = None if cc > 1 else f"need c > 1: c={cc}"
+    a = "1" * k + "0" * (k + 2)
+    return _geometric_proof(k, a, Fraction(1), cc, BPTS_MODE, d, 1, cc**3, error)[0]
 
 
 def bpts_grover_proof(cc: Fraction, d: Fraction | None = None) -> ProofCertificate:

@@ -34,7 +34,8 @@ from .kernel import (
 
 SQUIGGLE_ITERATION_CAP = 10**6
 
-RULE_NAMES = ("speedup_first", "speedup", "speedup_rand", "slowdown", "grover", "squiggle")
+SPEEDUP_RULES = ("speedup_first", "speedup", "speedup_rand")  # the rules that take x
+RULE_NAMES = SPEEDUP_RULES + ("slowdown", "grover", "squiggle")
 ASSUMPTIONS = ("ntime", "ebqp", "ebp")
 
 
@@ -243,7 +244,7 @@ class RuleStep:
     def __post_init__(self):
         if self.rule not in RULE_NAMES:
             raise CertificateError(f"unknown rule {self.rule!r}")
-        needs_x = self.rule in ("speedup_first", "speedup", "speedup_rand")
+        needs_x = self.rule in SPEEDUP_RULES
         if needs_x and self.x is None:
             raise CertificateError(f"rule {self.rule} needs a speedup parameter x")
         if not needs_x and self.x is not None:
@@ -333,7 +334,7 @@ def derive(
         if sq is not None:
             squiggles.append((i, *sq))
         classes.append(cur)
-    used_speedup = any(s.rule.startswith("speedup") for s in steps) or any(q[1] for q in squiggles)
+    used_speedup = any(s.rule in SPEEDUP_RULES for s in steps) or any(q[1] for q in squiggles)
     last = classes[-1]
     contradiction = len(steps) >= 2 and used_speedup and _matches_contradiction(first, last)
     return classes, ProofReport(True, contradiction, None, last.d, tuple(squiggles))
@@ -366,6 +367,11 @@ def verify_proof(p: ProofCertificate) -> ProofReport:
 
 # --- Certificate file format ------------------------------------------------
 
+# An atlb-proof v1 certificate is, one per line (blank lines and surrounding
+# whitespace ignored): the line "atlb-proof v1"; the parameter line
+# "alpha <rat>   c <rat>   mode <ts|bpts>   assumption <ntime|ebp|ebqp>";
+# then "class 0: <class>" and, for i = 1, 2, ..., "step i: <step>" followed by
+# "class i: <class>".  A step is "rule" or, for a speedup, "rule x=<rat>".
 _MAGIC = "atlb-proof v1"
 
 
@@ -403,44 +409,24 @@ def parse_certificate(text: str) -> ProofCertificate:
     classes: list[AltClass] = []
     steps: list[RuleStep] = []
     for lineno, line in enumerate(lines[2:], start=3):
-        if line.startswith("class"):
-            head, _, body = line.partition(":")
-            idx = _parse_index(head, "class", lineno)
-            if idx != len(classes):
-                raise CertificateError(f"line {lineno}: expected class {len(classes)}, got {idx}")
-            if len(classes) != len(steps):
-                raise CertificateError(f"line {lineno}: class {idx} not preceded by step {idx}")
-            try:
+        i = len(classes)  # the next head is class i after i steps, else step i
+        kind = "class" if len(steps) == i else "step"
+        head, _, body = line.partition(":")
+        words = head.split()
+        # the index in ASCII digits, leading zeros allowed ("class 01" is class 1)
+        if len(words) != 2 or (words[0], words[1].lstrip("0") or "0") != (kind, str(i)):
+            raise CertificateError(f"line {lineno}: expected '{kind} {i}:', got {line!r}")
+        parts = body.split() or [""]  # an empty step names no known rule
+        try:
+            if kind == "class":
                 classes.append(parse_class(body))
-            except ValueError as exc:
-                raise CertificateError(f"line {lineno}: {exc}") from exc
-        elif line.startswith("step"):
-            head, _, body = line.partition(":")
-            idx = _parse_index(head, "step", lineno)
-            if idx != len(steps) + 1 or len(classes) != len(steps) + 1:
-                raise CertificateError(f"line {lineno}: step {idx} out of order")
-            parts = body.split()
-            if not parts:
-                raise CertificateError(f"line {lineno}: empty step")
-            x = None
-            if len(parts) == 2 and parts[1].startswith("x="):
-                try:
-                    x = parse_rational(parts[1][2:])
-                except ValueError as exc:
-                    raise CertificateError(f"line {lineno}: {exc}") from exc
-            elif len(parts) != 1:
-                raise CertificateError(f"line {lineno}: bad step syntax {body!r}")
-            try:
-                steps.append(RuleStep(parts[0], x))
-            except CertificateError as exc:
-                raise CertificateError(f"line {lineno}: {exc}") from exc
-        else:
-            raise CertificateError(f"line {lineno}: expected 'class i:' or 'step i:', got {line!r}")
+            elif len(parts) == 2 and parts[1].startswith("x="):
+                steps.append(RuleStep(parts[0], parse_rational(parts[1][2:])))
+            elif len(parts) == 1:
+                steps.append(RuleStep(parts[0]))
+            else:
+                raise CertificateError(f"bad step syntax {body!r}")
+        except ValueError as exc:  # CertificateError is one
+            raise CertificateError(f"line {lineno}: {exc}") from exc
     return ProofCertificate(alpha, cc, mode, assumption, classes, steps)
 
-
-def _parse_index(head: str, kind: str, lineno: int) -> int:
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != kind or not parts[1].isdigit():
-        raise CertificateError(f"line {lineno}: bad {kind} header {head!r}")
-    return int(parts[1])

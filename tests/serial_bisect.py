@@ -25,7 +25,7 @@ def bisect_max(annotations, alpha, tol, mode):
 
     def lo_of(a):
         base = max(Fraction(1), 1 / alpha) if "2" in a else Fraction(1)
-        return base + min(Fraction(1, 1000), (hi - base) / 1000)
+        return base + Fraction(1, 1000)
 
     los = {a: lo_of(a) for a in annotations}
     last = {}

@@ -209,20 +209,32 @@ _EXIT_ONE = {
         _cert("alpha one   c 3/2   mode ts   assumption ntime", _CLASS0),
         "not a rational: 'one'",
     ),
-    "class-index": (_VERIFY, _cert(_HEAD, "class 1: TS d=2"), "line 3: expected class 0, got 1"),
+    "class-index": (
+        _VERIFY,
+        _cert(_HEAD, "class 1: TS d=2"),
+        "line 3: expected 'class 0:', got 'class 1: TS d=2'",
+    ),
     "class-without-step": (
         _VERIFY,
         _cert(_HEAD, _CLASS0, "class 1: TS d=2"),
-        "line 4: class 1 not preceded by step 1",
+        "line 4: expected 'step 1:', got 'class 1: TS d=2'",
     ),
     "class-syntax": (_VERIFY, _cert(_HEAD, "class 0: E(a=1) TS d=2"), "line 3: syntax error"),
-    "class-header": (_VERIFY, _cert(_HEAD, "class zero: TS d=2"), "line 3: bad class header"),
-    "step-order": (_VERIFY, _cert(_HEAD, _CLASS0, "step 2: squiggle"), "line 4: step 2 out of order"),
-    "step-empty": (_VERIFY, _cert(_HEAD, _CLASS0, "step 1:"), "line 4: empty step"),
+    "class-header": (
+        _VERIFY,
+        _cert(_HEAD, "class zero: TS d=2"),
+        "line 3: expected 'class 0:', got 'class zero: TS d=2'",
+    ),
+    "step-order": (
+        _VERIFY,
+        _cert(_HEAD, _CLASS0, "step 2: squiggle"),
+        "line 4: expected 'step 1:', got 'step 2: squiggle'",
+    ),
+    "step-empty": (_VERIFY, _cert(_HEAD, _CLASS0, "step 1:"), "line 4: unknown rule ''"),
     "step-rational": (_VERIFY, _cert(_HEAD, _CLASS0, "step 1: speedup x=one"), "line 4: not a rational"),
     "step-syntax": (_VERIFY, _cert(_HEAD, _CLASS0, "step 1: squiggle twice"), "line 4: bad step syntax"),
     "step-rule": (_VERIFY, _cert(_HEAD, _CLASS0, "step 1: jump"), "line 4: unknown rule 'jump'"),
-    "stray-line": (_VERIFY, _cert(_HEAD, _CLASS0, "qed"), "line 4: expected 'class i:' or 'step i:'"),
+    "stray-line": (_VERIFY, _cert(_HEAD, _CLASS0, "qed"), "line 4: expected 'step 1:', got 'qed'"),
     "step-without-class": (
         _VERIFY,
         _cert(_HEAD, _CLASS0, "step 1: squiggle"),

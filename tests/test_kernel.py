@@ -31,7 +31,7 @@ LONG_HEIGHTS = (0, 2, 3, 4, 5, 4, 3, 4, 5, 6, 5, 4, 5, 4, 5, 4, 5, 4, 3, 2, 3, 4
 class TestParseClass:
     def test_two_block_class(self):
         c = parse_class("E(a=2,b=2) A(a=2,b=2) TS d=5")
-        assert c.k == 2
+        assert len(c.blocks) == 2
         assert c.blocks[0] == Block(EXISTS, 2, 2)
         assert c.blocks[1] == Block(FORALL, 2, 2)
         assert c.verifier == DET_TS

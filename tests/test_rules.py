@@ -8,6 +8,7 @@ import pytest
 
 from atlb import rules
 from atlb.kernel import BP_TS, BPTS_MODE, DET_TS, TS_MODE, AltClass, Block, check_orderly, parse_class
+from atlb.proofs import bpts_proof, good_proof
 from atlb.rules import (
     CertificateError,
     ProofCertificate,
@@ -404,6 +405,24 @@ class TestCertificateFormat:
         back = parse_certificate(text)
         assert back == cert
         assert verify_proof(back).contradiction
+
+    @pytest.mark.parametrize(
+        "cert", [good_proof(F(1), F(3, 2), 2), bpts_proof(3, F(7, 5))], ids=["good_proof", "bpts_proof"]
+    )
+    def test_every_line_edit_is_rejected(self, cert):
+        """A formatted certificate parses back to itself, and deleting,
+        duplicating or swapping with the next line any one of its lines breaks
+        the one sequence of heads: CertificateError, and never another error."""
+        text = format_certificate(cert)
+        assert parse_certificate(text) == cert
+        lines = text.splitlines()
+        n = len(lines)
+        edits = [lines[:i] + lines[i + 1 :] for i in range(n)]
+        edits += [lines[: i + 1] + lines[i:] for i in range(n)]
+        edits += [lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2 :] for i in range(n - 1)]
+        for edited in edits:
+            with pytest.raises(CertificateError):
+                parse_certificate("\n".join(edited) + "\n")
 
     def test_header_required(self):
         with pytest.raises(CertificateError, match="header"):
