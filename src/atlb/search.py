@@ -277,24 +277,25 @@ def _bisect_max(annotations, alpha, tol, mode):
     when each is infeasible near c = 1; the Counter of the exact decisions
     made, the float solves and any fallback to exact verdicts).
 
-    Each annotation is judged at its own lo, and the live (feasible) ones at
-    hi.  Then one walk bisects one bracket, from the lo of an annotation
-    without '2' to hi, with the predicate "some live annotation is ahead at
-    c": feasible there, or with lo >= c.  A true midpoint keeps only the
-    annotations ahead, so each live one has met every verdict of the bracket,
-    and the first one's best_exponent is exactly c*.  Decides without replay,
-    so a caller that wants a certificate replays.
+    Each annotation is judged at its own lo, and each live (feasible) one
+    starts with hi = (1+alpha)/alpha as its "no" end, which no phase judges
+    before the walk.  Then one walk bisects one bracket, from the lo of an
+    annotation without '2' to hi, with the predicate "some live annotation
+    is ahead at c": feasible there, or with lo >= c.  A true midpoint keeps
+    only the annotations ahead, so each live one has met every verdict of
+    the bracket, and the first one's best_exponent is exactly c*.  Decides
+    without replay, so a caller that wants a certificate replays.
 
     A verdict is its float margin's sign where that margin is clear of 0 by
     _FLOAT_TOL, else an exact decision.  Feasibility being monotone in c (see
     lp), an exact "yes" below and "no" above make every steered verdict
     between them exact.  So after the walk each annotation is decided exactly
-    at its smallest "no" (its lo, the midpoint where it fell behind, or the
-    final hi), and the winner also at its largest "yes", and the path, c*,
-    winner and tie order are those of exact decisions at every midpoint.  An
-    exact decision against the float verdict that steered, or a float "yes"
-    at hi, sends the batch to a second bisection with every verdict exact;
-    that one raises BracketError.
+    at its smallest "no" (its lo, the midpoint where it fell behind, or hi),
+    and the winner also at its largest "yes", and the path, c*, winner and
+    tie order are those of exact decisions at every midpoint.  An exact
+    decision against the float verdict that steered sends the batch to a
+    second bisection with every verdict exact; there a live annotation
+    still feasible at hi raises BracketError.
 
     A midpoint not solved yet solves the LPs of the path that the same walk
     predicts if each live annotation is feasible below its _c_star_estimate:
@@ -337,13 +338,13 @@ def _bisect_max(annotations, alpha, tol, mode):
             counts["decisions"] += 1
             return feasible(a, alpha, c, mode, replay=False, _solved=s)
 
-        def feasible_of(pairs, path=None) -> set[str]:
+        def feasible_of(pairs, path) -> set[str]:
             """The annotations of the (annotation, c) pairs judged feasible at
             their c, each verdict steered or exact, recorded in ends; if one
-            is not solved yet, one float solve takes path() (or pairs)."""
+            is not solved yet, one float solve takes path()."""
             if any(p not in solved for p in pairs):
                 solved.clear()
-                todo = path() if path else pairs
+                todo = path()
                 batch = _solve_batch(todo, alpha, mode)
                 counts["float_solves"] += any(lp is not None for lp, _ in batch)
                 for (a, c), (lp, sol) in zip(todo, batch):
@@ -377,26 +378,23 @@ def _bisect_max(annotations, alpha, tol, mode):
             return path
 
         def certify(a, yes: bool) -> Feasibility:
-            """The exact decision at a's end ends[yes][a]; _Steered unless
-            its verdict is yes."""
+            """The exact decision at a's end ends[yes][a]; unless its verdict
+            is yes, _Steered, or BracketError in the exact pass (a hi end)."""
             c, end = ends[yes][a]
             if not isinstance(end, Feasibility):
                 end = decide(a, c, end)
             if end.feasible != yes:
-                raise _Steered
+                if steered:
+                    raise _Steered
+                raise BracketError(
+                    f"feasibility not monotone for {a!r}: feasible at both c={los[a]} and c={hi}"
+                )
             return end
 
         ok = feasible_of(list(los.items()), lambda: [*los.items(), *((a, hi) for a in los)])
         live = [a for a in annotations if a in ok]
+        ends[False].update((a, (hi, solved.pop((a, hi)))) for a in live)
         if live:
-            ok = feasible_of([(a, hi) for a in live])
-            if both := [a for a in live if a in ok]:
-                if steered:
-                    raise _Steered
-                raise BracketError(
-                    f"feasibility not monotone for {both[0]!r}: "
-                    f"feasible at both c={los[both[0]]} and c={hi}"
-                )
             c_star, live = walk(
                 lo_of("1"), hi, live, lambda pairs, *at: feasible_of(pairs, lambda: predicted_path(*at))
             )

@@ -206,6 +206,10 @@ class TestGroverRound:
         assert out.blocks == c0.blocks
         assert out.d == F(13, 10) * 6
 
+    def test_last_block_b_above_two_thirds_d(self):
+        out = grover_round(parse_class("E(a=0,b=10) BPTS d=3"), F(3, 2))
+        assert out.d == 15  # c * b_k, above c * 2d/3 = 3
+
     def test_requires_randomized_verifier(self):
         with pytest.raises(RuleError):
             grover_round(parse_class("E(a=1,b=1) TS d=9"), F(13, 10))

@@ -1077,11 +1077,11 @@ def _bisections(annotations, alpha, tol, mode, monkeypatch):
 def _assert_decides_as_serial(want, got):
     """got, a steered bisection, has the serial oracle's (c*, winner), makes
     only exact decisions the oracle made, with its verdicts, and at most two
-    exact LP decisions per annotation."""
+    exact decisions per annotation."""
     assert got[0] == want[0]
     oracle = {(a, c): ok for a, c, ok, _ in want[1]}
     assert all(oracle.get((a, c)) == ok for a, c, ok, _ in got[1])
-    per_annotation = Counter(a for a, _, _, method in got[1] if method != "precondition")
+    per_annotation = Counter(a for a, _, _, _ in got[1])
     assert max(per_annotation.values(), default=0) <= 2
 
 
@@ -1140,6 +1140,33 @@ def test_wrong_float_verdict_falls_back_to_exact_bisection(annotations, alpha, m
     assert best[:2] == (c_star, winner)
     assert flips and min(flips) > search._FLOAT_TOL
     assert counts["fallbacks"] == 1
+
+
+def test_float_yes_at_hi_keeps_steered_bisection(monkeypatch):
+    # every float "no" at hi flipped to "yes": hi is each live annotation's
+    # "no" end only until the walk meets a smaller one, and an end left at hi
+    # is decided exactly, so no batch falls back to exact verdicts
+    annotations, alpha, tol = ["100", "1102020"], F(1), F(1, 10**6)
+    hi = (1 + alpha) / alpha
+    want = search._bisect_max(annotations, alpha, tol, TS_MODE)[0]
+    solve_floats, flips = search._solve_floats, []
+
+    def flipped(lps):
+        sols = solve_floats(lps)
+        for i, lp in enumerate(lps):
+            if lp.table.cc == hi and sols[i] is not None and sols[i][0][_MARGIN] < 0:
+                x, duals = sols[i]
+                flips.append(lp.template.annotation)
+                x = x.copy()
+                x[_MARGIN] = 1.0
+                sols[i] = x, duals
+        return sols
+
+    monkeypatch.setattr(search, "_solve_floats", flipped)
+    best, counts = search._bisect_max(annotations, alpha, tol, TS_MODE)
+    assert flips
+    assert best[:2] == want[:2]
+    assert counts["fallbacks"] == 0
 
 
 def test_search_best_solves_each_predicted_path_at_once(monkeypatch):
