@@ -36,8 +36,8 @@ writes to OUT, one line each:
   is no feasible vertex or missing float solution (in the sweep, 106 warm
   starts and no cold one).  A bisection's float solve takes the LPs of the
   path its float margins predict, and its first one takes each annotation
-  at both ends of the bracket: the searches make 114 HiGHS calls and the
-  bisections 845 (528 and 4,288 at one float solve per midpoint);
+  at both ends of the bracket: the searches make 79 HiGHS calls and the
+  bisections 845 (303 and 4,288 at one float solve per midpoint);
 - with them, decisions= the decisions (search.feasible calls) of each part,
   so that a second decision of any (annotation, c) shows; walks= the LP
   templates walked (lp._template's cache misses) and lps= the LPs read

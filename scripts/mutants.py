@@ -26,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RULES = "src/atlb/rules.py"
+SEARCH = "src/atlb/search.py"
 
 MUTANTS = [
     (
@@ -62,6 +63,13 @@ MUTANTS = [
         "fixed = cc * max(last.a, last.b, Fraction(1))",
         "fixed = cc * max(last.a, Fraction(1))",
         "a squiggle that lands below c * b_k",
+    ),
+    (
+        "_map_batches counting every annotation",
+        SEARCH,
+        "has_lp = not _lp_free(item if isinstance(item, str) else item[0])",
+        "has_lp = True",
+        "cuts a batch at _BATCH annotations, '12' ones too: more float solves of fewer LPs",
     ),
 ]
 

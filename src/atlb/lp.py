@@ -368,12 +368,17 @@ def _decide(lp: _LP | None, sol) -> tuple[bool, Fraction | None, list[Fraction],
     return ok, vertex.value, [vertex.point[i] for i in lp.xvars] if ok else [], "vertex"
 
 
+def _lp_free(a: str) -> bool:
+    """Whether the annotation has no LP whatever (alpha, c): a squiggle
+    follows a speedup ('12'), where the block's a is 0: the guard row gives
+    margin <= -d, the speedup's row d >= margin."""
+    return "12" in a
+
+
 def _lp_of(a: str, mode: str, table: _Table) -> _LP | None:
     """The annotation's LP at the table's (alpha, c), or None when its margin
-    is <= 0 whatever the speedup parameters: a squiggle's precondition
-    1/alpha < c < (1+alpha)/alpha fails, or a squiggle follows a speedup
-    ('12'), where the block's a is 0: the guard row gives margin <= -d, the
-    speedup's row d >= margin."""
-    if "12" in a or ("2" in a and not _squiggle_window(table.alpha, table.cc)):
+    is <= 0 whatever the speedup parameters: it is _lp_free, or a squiggle's
+    precondition 1/alpha < c < (1+alpha)/alpha fails."""
+    if _lp_free(a) or ("2" in a and not _squiggle_window(table.alpha, table.cc)):
         return None
     return _LP(_template(a, mode), table)

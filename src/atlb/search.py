@@ -8,13 +8,14 @@ rules at a large concrete d, in one derivation (proofs._run_steps over
 rules.derive) that builds the certificate and checks it; a "vertex"
 verdict's witness is first re-solved in float toward the tight maxima.
 
-The float LPs are solved in batches: the LPs of a batch share no
-variable and no row, so they stack into one block-diagonal LP whose
-objective is the sum of their margins, and its optimum and duals split into
-those of each block.  Scans and searches cut their annotations into fixed
-batches; a process pool spreads whole batches, so the number of workers
-changes no answer.  Bisection over c (best_exponent, search_best) walks
-one bracket per batch for the largest best exponent of its annotations: each
+The float LPs are solved in batches: the LPs of a batch share no variable
+and no row, so they stack into one block-diagonal LP whose objective is the
+sum of their margins, and its optimum and duals split into those of each
+block.  Scans and searches cut their annotations into fixed batches of at
+most _BATCH annotations with an LP, and those with '12', which have none,
+ride along; a process pool spreads whole batches, so the number of workers
+changes no answer.  Bisection over c (best_exponent, search_best) walks one
+bracket per batch for the largest best exponent of its annotations: each
 midpoint judges the annotations still level with the best, and drops those
 that fall behind.  Float margins steer the walk: as feasibility is monotone
 in c (the lemma in lp), once the walk ends each annotation is decided
@@ -23,7 +24,8 @@ exactly, without replay, only where it left, and the winner at its last
 the LPs of the stretch of path that the same walk predicts from the float
 margins (each c* interpolated from HiGHS's margins); a wrong prediction
 wastes only float LPs.  search_best replays only the winner's last "yes",
-from its LP, as a scan replays an entry (_replay), without deciding it again.
+from its LP, as a scan replays an entry (_replay), without deciding it
+again.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from scipy.sparse import csc_array
 
 from .analytics import _midpoint
 from .kernel import TS_MODE, enumerate_annotations, validate_annotation
-from .lp import _FLOAT_TOL, _LP, _MARGIN, _decide, _lp_of, _Table, _witness
+from .lp import _FLOAT_TOL, _LP, _MARGIN, _decide, _lp_free, _lp_of, _Table, _witness
 from .proofs import _annotation_steps, _run_steps
 from .rules import (
     ProofCertificate,
@@ -57,7 +59,10 @@ _HIGHS = {"primal_feasibility_tolerance": _FLOAT_TOL}
 # replays 76 times at a floor of opt/2, 101 at opt/10 and all at opt/100.
 _WITNESS_FLOOR = 100
 
-# LPs per float solve in scans and bisection rounds.  On a 2-vCPU Xeon a
+# LPs per float solve in scans and bisection rounds: a batch holds at most
+# _BATCH annotations with an LP (_map_batches), so a scan's float solve takes
+# at most _BATCH LPs, and a bisection's first one, at each annotation's lo and
+# hi, up to 2 * _BATCH; its later ones stop at _BATCH.  On a 2-vCPU Xeon a
 # lone solve takes 3-4 ms, nearly all of it linprog's per-call overhead; per
 # LP, batches of 16 cost 0.5-0.6 ms, of 32 to 128 0.4-0.5 ms.  HiGHS's
 # working memory grows by ~35 KB per LP of a batch (the peak RSS of a
@@ -233,12 +238,22 @@ def _decide_batch(pairs, alpha, mode, replay):
 
 
 def _map_batches(fn, items, workers, *args) -> list:
-    """fn(batch, *args) of each run of _BATCH consecutive items, in order; in
-    a process pool when workers > 1 and there are two batches or more, with
-    no more workers than batches (the fork start method launches them all
-    at the first submit).  The pool maps whole batches, so which items share
-    a float solve, and hence every answer, depends on the items only."""
-    batches = [items[i : i + _BATCH] for i in range(0, len(items), _BATCH)]
+    """fn(batch, *args) of each batch of consecutive items, in order, where an
+    item is an annotation or an (annotation, c) pair.  A batch holds at most
+    _BATCH annotations with an LP; those without (lp._lp_free) ride in the
+    batch they fall in, at no HiGHS cost, and open none.  In a process pool
+    when workers > 1 and there are two batches or more, with no more workers
+    than batches (the fork start method launches them all at the first
+    submit).  The pool maps whole batches, so which items share a float
+    solve, and hence every answer, depends on the items only."""
+    batches, lps = [], 0
+    for item in items:
+        has_lp = not _lp_free(item if isinstance(item, str) else item[0])
+        if not batches or (has_lp and lps == _BATCH):
+            batches.append([])
+            lps = 0
+        batches[-1].append(item)
+        lps += has_lp
     if workers and workers > 1 and len(batches) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -896,7 +896,8 @@ class TestOptimalityScan:
 
     def test_scan_independent_of_workers_across_batches(self):
         serial = optimality_scan(F(1), F(3, 2), 8)
-        assert serial.total == 145 > search._BATCH
+        assert serial.total == 145
+        assert len(search._map_batches(len, [e.annotation for e in serial.entries], None)) == 2
         pooled = optimality_scan(F(1), F(3, 2), 8, workers=2)
         assert pooled.entries == serial.entries
 
@@ -1006,10 +1007,10 @@ def test_search_best_independent_of_workers():
 
 
 def test_search_best_independent_of_workers_across_batches():
-    # 55 annotations: two batches, each bisected on its own
-    assert len(list(enumerate_annotations(7, TS_MODE))) > search._BATCH
-    serial = search_best(7, F(1), tol=F(1, 10**4))
-    pooled = search_best(7, F(1), tol=F(1, 10**4), workers=2)
+    # 145 annotations, 56 with an LP: two batches, each bisected on its own
+    assert len(search._map_batches(len, list(enumerate_annotations(8, TS_MODE)), None)) == 2
+    serial = search_best(8, F(1), tol=F(1, 10**4))
+    pooled = search_best(8, F(1), tol=F(1, 10**4), workers=2)
     assert (pooled.annotation, pooled.best_c) == (serial.annotation, serial.best_c)
     assert format_certificate(pooled.certificate) == format_certificate(serial.certificate)
 
@@ -1049,13 +1050,43 @@ def test_pool_has_no_more_workers_than_batches(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    serial = search_best(7, F(1), tol=F(1, 10**4))
+    serial = search_best(8, F(1), tol=F(1, 10**4))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    assert search._map_batches(len, list(range(search._BATCH + 1)), 4) == [search._BATCH, 1]
-    pooled = search_best(7, F(1), tol=F(1, 10**4), workers=3)  # two batches
+    annotations = [a for a in enumerate_annotations(8, TS_MODE) if "12" not in a]
+    assert search._map_batches(len, annotations[: search._BATCH + 1], 4) == [search._BATCH, 1]
+    pooled = search_best(8, F(1), tol=F(1, 10**4), workers=3)  # two batches
     assert (pooled.annotation, pooled.best_c) == (serial.annotation, serial.best_c)
-    assert optimality_scan(F(1), F(3, 2), 8, workers=3).total == 145  # five batches
-    assert sizes == [2, 2, 3]
+    assert optimality_scan(F(1), F(3, 2), 8, workers=3).total == 145  # two batches
+    assert sizes == [2, 2, 2]
+
+
+@pytest.mark.parametrize("mode", [TS_MODE, BPTS_MODE])
+def test_batches_cap_annotations_with_an_lp(mode):
+    # a batch holds _BATCH annotations without '12' (the last one at most),
+    # and those with '12', which have no LP, ride in the batch they fall in
+    annotations = list(enumerate_annotations(9, mode))
+    batches = search._map_batches(list, annotations, None)
+    assert [a for batch in batches for a in batch] == annotations
+    with_lp = [sum("12" not in a for a in batch) for batch in batches]
+    assert with_lp[:-1] == [search._BATCH] * (len(batches) - 1) and 0 < with_lp[-1] <= search._BATCH
+    assert all("12" not in batch[0] for batch in batches[1:])
+
+
+def test_run_of_12_annotations_opens_no_batch():
+    twelves = [a for a in enumerate_annotations(8, TS_MODE) if "12" in a][:5]
+    full = [a for a in enumerate_annotations(8, TS_MODE) if "12" not in a][: search._BATCH + 1]
+    assert search._map_batches(len, [*full[:-1], *twelves], None) == [search._BATCH + 5]
+    assert search._map_batches(len, [*full[:-1], *twelves, full[-1]], None) == [search._BATCH + 5, 1]
+    assert search._map_batches(len, twelves, None) == [5]
+    assert search._map_batches(len, [], None) == []
+
+
+def test_scan_float_solves_take_batches_of_lps(monkeypatch):
+    # a length-8 scan: 145 annotations, 56 with an LP, in two float solves
+    sizes, solve_floats = [], search._solve_floats
+    monkeypatch.setattr(search, "_solve_floats", lambda lps: sizes.append(len(lps)) or solve_floats(lps))
+    assert optimality_scan(F(1), F(3, 2), 8).total == 145
+    assert sizes == [32, 24]
 
 
 def _bisections(annotations, alpha, tol, mode, monkeypatch):
@@ -1095,8 +1126,7 @@ def test_bisect_max_decides_as_serial_bisection(mode, max_len, alpha, monkeypatc
     # exact decision at every midpoint: the same c* and winner, from a few of
     # the same exact decisions
     annotations = list(enumerate_annotations(max_len, mode))
-    for i in range(0, len(annotations), search._BATCH):
-        batch = annotations[i : i + search._BATCH]
+    for batch in search._map_batches(list, annotations, None):
         _assert_decides_as_serial(*_bisections(batch, alpha, F(1, 10**6), mode, monkeypatch))
 
 
@@ -1265,8 +1295,8 @@ def test_failed_float_solves_keep_search_answer(monkeypatch):
 
 def test_search_walks_each_annotation_once_per_batch(walked, monkeypatch):
     # _bisect_max walks each annotation at its first solve in the process
-    # and reads the template at every c after: 55 annotations in two
-    # batches, ~4 LPs each
+    # and reads the template at every c after: 145 annotations, 56 with an
+    # LP, in two batches
     batches, bisect_max = [], search._bisect_max
 
     def recorded(annotations, *args):
@@ -1276,7 +1306,7 @@ def test_search_walks_each_annotation_once_per_batch(walked, monkeypatch):
         return answer
 
     monkeypatch.setattr(search, "_bisect_max", recorded)
-    res = search_best(7, F(1))
+    res = search_best(8, F(1))
     assert len(batches) == 2
     for annotations, batch_walks in batches:
         assert len(set(batch_walks)) == len(batch_walks)
