@@ -1057,7 +1057,10 @@ def test_pool_has_no_more_workers_than_batches(monkeypatch):
     pooled = search_best(8, F(1), tol=F(1, 10**4), workers=3)  # two batches
     assert (pooled.annotation, pooled.best_c) == (serial.annotation, serial.best_c)
     assert optimality_scan(F(1), F(3, 2), 8, workers=3).total == 145  # two batches
-    assert sizes == [2, 2, 2]
+    lp_annotations = [a for a in enumerate_annotations(9, TS_MODE) if "12" not in a]
+    three = lp_annotations[: 2 * search._BATCH + 1]
+    assert search._map_batches(len, three, 2) == [search._BATCH, search._BATCH, 1]
+    assert sizes == [2, 2, 2, 2]
 
 
 @pytest.mark.parametrize("mode", [TS_MODE, BPTS_MODE])
@@ -1347,9 +1350,10 @@ def test_template_cache_is_bounded():
 
 
 def test_search_counts_independent_of_workers():
-    # 55 annotations: two batches, whose counts add up
-    serial = search_best(7, F(1), tol=F(1, 10**4))
-    pooled = search_best(7, F(1), tol=F(1, 10**4), workers=2)
+    # 56 annotations with an LP: two batches, whose counts add up
+    assert len(search._map_batches(len, list(enumerate_annotations(8, TS_MODE)), None)) == 2
+    serial = search_best(8, F(1), tol=F(1, 10**4))
+    pooled = search_best(8, F(1), tol=F(1, 10**4), workers=2)
     assert (pooled.decisions, pooled.float_solves) == (serial.decisions, serial.float_solves)
 
 
